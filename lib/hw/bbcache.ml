@@ -47,7 +47,6 @@ type stats = {
 
 type t = {
   phys : Phys.t;
-  page_size : int;
   blocks : (int, block) Hashtbl.t;
   gen : int array;  (* per-frame generation *)
   stats : stats;
@@ -60,7 +59,6 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
   let t =
     {
       phys;
-      page_size = Phys.page_size phys;
       blocks = Hashtbl.create 1024;
       gen = Array.make (Phys.frame_count phys) 0;
       stats = { hits = 0; misses = 0; invalidations = 0; blocks_built = 0; insns_built = 0 };
@@ -76,6 +74,7 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
          t.stats.invalidations <- t.stats.invalidations + 1));
   t
 
+let none = { b_pa0 = -1; b_frame = 0; b_gen = 0; insns = [||]; sizes = [||]; offs = [||]; n = 0 }
 let stats t = t.stats
 let generation t frame = t.gen.(frame)
 
@@ -84,8 +83,8 @@ let generation t frame = t.gen.(frame)
 let clear t = Hashtbl.reset t.blocks
 
 let build t pa0 =
-  let frame = pa0 / t.page_size in
-  let off0 = pa0 mod t.page_size in
+  let frame = Phys.frame_of_addr t.phys pa0 in
+  let off0 = Phys.off_of_addr t.phys pa0 in
   (* Raw frame snapshot into the reused scratch buffer: no ECC scrub, no
      cache traffic, no per-build string — construction is side-effect-free,
      all architectural fetch effects are replayed at dispatch time. The

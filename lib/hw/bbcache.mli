@@ -28,6 +28,9 @@ type block = private {
           dispatch must fall back to the byte-at-a-time interpreter *)
 }
 
+val none : block
+(** A static empty block: the block dispatcher's "no current block" cursor. *)
+
 type stats = {
   mutable hits : int;
   mutable misses : int;

@@ -65,6 +65,39 @@ let trace_trap mmu fault =
     Obs.event obs ~cat:"cpu" "cpu.trap"
       ~args:[ ("fault", Obs.Json.Str (Fmt.str "%a" pp_fault fault)) ]
 
+let push mmu r v =
+  let sp = mask32 (get r ESP - 4) in
+  Mmu.Fast.write32 mmu ~from_user:true sp v;
+  set r ESP sp
+
+let binop r d v ~next =
+  set r d v;
+  set_flags r v;
+  r.eip <- next;
+  ok_retired
+
+let jump_if r cond target ~next =
+  (match target with
+  | Isa.Insn.Rel disp -> r.eip <- (if cond then mask32 (next + disp) else next)
+  | Isa.Insn.Lbl _ -> assert false);
+  ok_retired
+
+(* Commit a control transfer to [target] unless the control-transfer
+   monitor (when armed) denies it. The monitor runs after every memory
+   access of the instruction, so a page fault cannot restart the
+   instruction past a monitor side effect (a shadow-stack push would
+   otherwise happen twice). A denied transfer surfaces as #GP; the monitor
+   has already logged why. *)
+let transfer ctrl r kind ~eip ~target ~next =
+  match ctrl with
+  | Some f when not (f ~kind ~site:eip ~target ~ret:next) ->
+    Error
+      (General_protection
+         (Fmt.str "cfi: %s site=0x%08x target=0x%08x" (ctrl_kind_name kind) eip target))
+  | None | Some _ ->
+    r.eip <- target;
+    ok_retired
+
 (* Execute one already-decoded instruction at [eip] whose encoding is
    [next - eip] bytes. Register state is only committed once every memory
    access of the instruction has succeeded, so a faulting instruction can be
@@ -72,154 +105,92 @@ let trace_trap mmu fault =
    restart-after-page-fault semantics Algorithms 1 and 2 depend on. Shared
    verbatim between the per-instruction interpreter ([step], which decodes
    first) and the block dispatcher ([run_block], which replays a cached
-   decode), so the two dispatch modes cannot drift. *)
+   decode), so the two dispatch modes cannot drift. Allocates nothing on
+   the retire path. *)
 let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
-  let rd32 a = Mmu.read32_fast mmu ~from_user:true a in
-  let wr32 a v = Mmu.write32_fast mmu ~from_user:true a v in
-  let rd8 a = Mmu.read8_fast mmu ~from_user:true a in
-  let wr8 a v = Mmu.write8_fast mmu ~from_user:true a v in
-  let push v =
-    let sp = mask32 (get r ESP - 4) in
-    wr32 sp v;
-    set r ESP sp
-  in
-  let binop d s f =
-    let v = f (get r d) (get r s) in
-    set r d v;
-    set_flags r v;
-    r.eip <- next;
-    Ok Retired
-  in
-  let jump_if cond target =
-    (match target with
-    | Isa.Insn.Rel disp -> r.eip <- (if cond then mask32 (next + disp) else next)
-    | Isa.Insn.Lbl _ -> assert false);
-    Ok Retired
-  in
-  (* Consult the control-transfer monitor (when armed) before the new
-     eip is committed. The monitor runs after every memory access of
-     the instruction, so a page fault cannot restart the instruction
-     past a monitor side effect (a shadow-stack push would otherwise
-     happen twice). A denied transfer surfaces as #GP; the monitor has
-     already logged why. *)
-  let check kind ~target k =
-    match ctrl with
-    | None -> k ()
-    | Some f ->
-      if f ~kind ~site:eip ~target ~ret:next then k ()
-      else
-        Error
-          (General_protection
-             (Fmt.str "cfi: %s site=0x%08x target=0x%08x" (ctrl_kind_name kind) eip target))
-  in
   match (insn : Isa.Insn.t) with
   | Nop ->
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Hlt -> Error (General_protection "hlt in user mode")
   | Mov_ri (d, i) ->
     set r d i;
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Mov_rr (d, s) ->
     set r d (get r s);
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Load (d, b, off) ->
-    let v = rd32 (get r b + off) in
+    let v = Mmu.Fast.read32 mmu ~from_user:true (get r b + off) in
     set r d v;
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Store (b, off, s) ->
-    wr32 (get r b + off) (get r s);
+    Mmu.Fast.write32 mmu ~from_user:true (get r b + off) (get r s);
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Loadb (d, b, off) ->
-    let v = rd8 (get r b + off) in
+    let v = Mmu.Fast.read8 mmu ~from_user:true (get r b + off) in
     set r d v;
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Storeb (b, off, s) ->
-    wr8 (get r b + off) (get r s land 0xFF);
+    Mmu.Fast.write8 mmu ~from_user:true (get r b + off) (get r s land 0xFF);
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Push s ->
-    push (get r s);
+    push mmu r (get r s);
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Pop d ->
     let sp = get r ESP in
-    let v = rd32 sp in
+    let v = Mmu.Fast.read32 mmu ~from_user:true sp in
     set r ESP (sp + 4);
     set r d v;
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Lea (d, b, off) ->
     set r d (get r b + off);
     r.eip <- next;
-    Ok Retired
-  | Add (d, s) -> binop d s ( + )
-  | Sub (d, s) -> binop d s ( - )
-  | Add_ri (d, i) ->
-    let v = get r d + i in
-    set r d v;
-    set_flags r v;
-    r.eip <- next;
-    Ok Retired
+    ok_retired
+  | Add (d, s) -> binop r d (get r d + get r s) ~next
+  | Sub (d, s) -> binop r d (get r d - get r s) ~next
+  | Add_ri (d, i) -> binop r d (get r d + i) ~next
   | Cmp (a, b) ->
     set_flags_signed r (sign32 (get r a) - sign32 (get r b));
     r.eip <- next;
-    Ok Retired
+    ok_retired
   | Cmp_ri (a, i) ->
     set_flags_signed r (sign32 (get r a) - i);
     r.eip <- next;
-    Ok Retired
-  | And_ (d, s) -> binop d s ( land )
-  | Or_ (d, s) -> binop d s ( lor )
-  | Xor (d, s) -> binop d s ( lxor )
-  | Mul (d, s) -> binop d s ( * )
-  | Shl (d, i) ->
-    let v = get r d lsl (i land 31) in
-    set r d v;
-    set_flags r v;
-    r.eip <- next;
-    Ok Retired
-  | Shr (d, i) ->
-    let v = get r d lsr (i land 31) in
-    set r d v;
-    set_flags r v;
-    r.eip <- next;
-    Ok Retired
-  | Jmp t -> jump_if true t
-  | Jz t -> jump_if r.zf t
-  | Jnz t -> jump_if (not r.zf) t
-  | Jl t -> jump_if r.sf t
-  | Jge t -> jump_if (not r.sf) t
-  | Jmp_r s ->
-    let target = get r s in
-    check Jump_indirect ~target (fun () ->
-        r.eip <- target;
-        Ok Retired)
+    ok_retired
+  | And_ (d, s) -> binop r d (get r d land get r s) ~next
+  | Or_ (d, s) -> binop r d (get r d lor get r s) ~next
+  | Xor (d, s) -> binop r d (get r d lxor get r s) ~next
+  | Mul (d, s) -> binop r d (get r d * get r s) ~next
+  | Shl (d, i) -> binop r d (get r d lsl (i land 31)) ~next
+  | Shr (d, i) -> binop r d (get r d lsr (i land 31)) ~next
+  | Jmp t -> jump_if r true t ~next
+  | Jz t -> jump_if r r.zf t ~next
+  | Jnz t -> jump_if r (not r.zf) t ~next
+  | Jl t -> jump_if r r.sf t ~next
+  | Jge t -> jump_if r (not r.sf) t ~next
+  | Jmp_r s -> transfer ctrl r Jump_indirect ~eip ~target:(get r s) ~next
   | Call t ->
     let disp = match t with Isa.Insn.Rel d -> d | Isa.Insn.Lbl _ -> assert false in
-    let target = mask32 (next + disp) in
-    push next;
-    check Call_direct ~target (fun () ->
-        r.eip <- target;
-        Ok Retired)
+    push mmu r next;
+    transfer ctrl r Call_direct ~eip ~target:(mask32 (next + disp)) ~next
   | Call_r s ->
     let target = get r s in
-    push next;
-    check Call_indirect ~target (fun () ->
-        r.eip <- target;
-        Ok Retired)
+    push mmu r next;
+    transfer ctrl r Call_indirect ~eip ~target ~next
   | Ret ->
     let sp = get r ESP in
-    let v = rd32 sp in
-    check Return ~target:v (fun () ->
-        set r ESP (sp + 4);
-        r.eip <- v;
-        Ok Retired)
+    let v = Mmu.Fast.read32 mmu ~from_user:true sp in
+    let res = transfer ctrl r Return ~eip ~target:v ~next in
+    (match res with Ok _ -> set r ESP (sp + 4) | Error _ -> ());
+    res
   | Int 0x80 ->
     r.eip <- next;
     Ok (Syscall (get r EAX))
@@ -262,7 +233,7 @@ let step_with ~ctrl ~fetch mmu (r : regs) =
    per-instruction path, tests, tools) are untouched by the block-dispatch
    redesign. *)
 let step ?ctrl mmu (r : regs) =
-  step_with ~ctrl ~fetch:(fun a -> Mmu.fetch8_fast mmu ~from_user:true a) mmu r
+  step_with ~ctrl ~fetch:(fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a) mmu r
 
 (* The block dispatcher's exact fallback for one instruction whose first
    byte has already been translated to packed paddr [pa0] (a negative block:
@@ -279,7 +250,7 @@ let step_env_at_pa0 (env : Exec_env.t) mmu (r : regs) pa0 =
       Mmu.touch_icache mmu pa0;
       Phys.read8_at phys pa0
     end
-    else Mmu.fetch8_fast mmu ~from_user:true a
+    else Mmu.Fast.fetch8 mmu ~from_user:true a
   in
   step_with ~ctrl:env.Exec_env.ctrl ~fetch mmu r
 
@@ -327,7 +298,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   in
   let cost = Mmu.cost mmu in
   let insn_cycles = cost.Cost.params.Cost.insn in
-  let page_size = Phys.page_size (Mmu.phys mmu) in
+  let page_shift = Phys.page_shift (Mmu.phys mmu) in
   let itlb = Mmu.itlb mmu in
   (* Batched fetch accounting is only exact when nothing observes the
      individual byte fetches. *)
@@ -336,7 +307,9 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   let retired = ref 0 in
   let pending = ref None in
   let finish s = pending := Some s in
-  let rec loop cur =
+  (* the cursor [(cur, idx)] names the instruction expected next, if it
+     falls through inside [cur]; [Bbcache.none] means "no current block" *)
+  let rec loop (cur : Bbcache.block) idx =
     if !attempts < max_insns && cost.Cost.cycles < tick_limit then begin
       let eip = r.eip in
       let pa0 = Mmu.translate_result mmu ~from_user:true Mmu.Fetch eip in
@@ -345,13 +318,13 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
         finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
       end
       else begin
-        let b, idx =
-          match cur with
-          | Some (b, idx)
-            when pa0 = b.Bbcache.b_pa0 + b.Bbcache.offs.(idx) && not (Bbcache.stale cache b)
-            -> (b, idx)
-          | Some _ | None -> (Bbcache.lookup cache pa0, 0)
+        let hit =
+          idx < cur.Bbcache.n
+          && pa0 = cur.Bbcache.b_pa0 + cur.Bbcache.offs.(idx)
+          && not (Bbcache.stale cache cur)
         in
+        let b = if hit then cur else Bbcache.lookup cache pa0 in
+        let idx = if hit then idx else 0 in
         if b.Bbcache.n = 0 then begin
           (* negative block: byte-at-a-time fallback for this one pc *)
           let s = step_env_at_pa0 env mmu r pa0 in
@@ -361,7 +334,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
             env.Exec_env.retire eip;
             cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
             incr retired;
-            loop None
+            loop Bbcache.none 0
           | Ok (Syscall _) ->
             env.Exec_env.retire eip;
             finish s
@@ -372,7 +345,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
           let sz = b.Bbcache.sizes.(idx) in
           Mmu.touch_icache mmu pa0;
           if sz > 1 then
-            if fast_fetch then Tlb.note_hits itlb (mask32 eip / page_size) (sz - 1)
+            if fast_fetch then Tlb.note_hits itlb (mask32 eip lsr page_shift) (sz - 1)
             else
               for i = 1 to sz - 1 do
                 let pa = Mmu.translate_result mmu ~from_user:true Mmu.Fetch (eip + i) in
@@ -394,9 +367,7 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
             env.Exec_env.retire eip;
             cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
             incr retired;
-            let next_idx = idx + 1 in
-            if next_idx < b.Bbcache.n && r.eip = eip + sz then loop (Some (b, next_idx))
-            else loop None
+            if r.eip = eip + sz then loop b (idx + 1) else loop Bbcache.none 0
           | Ok (Syscall _) as ok ->
             incr attempts;
             env.Exec_env.retire eip;
@@ -405,5 +376,5 @@ let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
       end
     end
   in
-  loop None;
+  loop Bbcache.none 0;
   { attempts = !attempts; retired = !retired; pending = !pending }

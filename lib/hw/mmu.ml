@@ -227,11 +227,10 @@ let pending_fault t =
    miss does not fill the TLB. *)
 let rec translate_result t ~from_user access vaddr =
   let vaddr = mask32 vaddr in
-  let page_size = Phys.page_size t.phys in
-  let vpn = vaddr / page_size in
+  let vpn = vaddr lsr Phys.page_shift t.phys in
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
   match Tlb.find tlb vpn with
-  | (e : Tlb.entry) ->
+  | e when e != Tlb.absent ->
     if match t.tlb_guard with None -> false | Some g -> not (g access e) then begin
       (* the guard rejected the cached entry as corrupted: drop it and
          retranslate — the retry misses and refills (or faults) from the
@@ -247,9 +246,9 @@ let rec translate_result t ~from_user access vaddr =
     then record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
     else begin
       (match t.env.sample with None -> () | Some h -> h access vpn true);
-      (e.frame * page_size) + (vaddr mod page_size)
+      Phys.addr t.phys ~frame:e.frame ~off:(Phys.off_of_addr t.phys vaddr)
     end
-  | exception Not_found -> (
+  | _ -> (
     if t.fill_mode = Software_fill then
       (* the hardware has no walker: trap to the OS miss handler *)
       record_fault t ~addr:vaddr ~access ~kind:Tlb_miss ~from_user
@@ -279,15 +278,14 @@ let rec translate_result t ~from_user access vaddr =
           Tlb.insert tlb
             { vpn; frame = p.frame; user = p.user; writable = p.writable; nx = p.nx };
           (match t.env.sample with None -> () | Some h -> h access vpn false);
-          (p.frame * page_size) + (vaddr mod page_size)
+          Phys.addr t.phys ~frame:p.frame ~off:(Phys.off_of_addr t.phys vaddr)
         end
     end)
 
 let translate t ~from_user access vaddr =
   let pa = translate_result t ~from_user access vaddr in
   if pa < 0 then raise (Page_fault (pending_fault t));
-  let page_size = Phys.page_size t.phys in
-  (pa / page_size, pa mod page_size)
+  (Phys.frame_of_addr t.phys pa, Phys.off_of_addr t.phys pa)
 
 (* The fast-path access module for the CPU dispatch loop. One shared
    translation core ([paddr]) holds the fault plumbing that used to be
@@ -320,9 +318,11 @@ module Fast = struct
     touch_dcache_write t pa;
     Phys.write8_at t.phys pa v
 
+  (* true when the 4 bytes at [vaddr] stay inside one page *)
+  let in_page t vaddr = Phys.off_of_addr t.phys vaddr <= Phys.page_size t.phys - 4
+
   let read32 t ~from_user vaddr =
-    let page_size = Phys.page_size t.phys in
-    if mask32 vaddr mod page_size <= page_size - 4 then begin
+    if in_page t vaddr then begin
       let pa = paddr t ~from_user Read vaddr in
       touch_dcache_read t pa;
       Phys.read32_at t.phys pa
@@ -332,8 +332,7 @@ module Fast = struct
       b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
   let write32 t ~from_user vaddr v =
-    let page_size = Phys.page_size t.phys in
-    if mask32 vaddr mod page_size <= page_size - 4 then begin
+    if in_page t vaddr then begin
       let pa = paddr t ~from_user Write vaddr in
       touch_dcache_write t pa;
       Phys.write32_at t.phys pa v
@@ -343,13 +342,6 @@ module Fast = struct
         write8 t ~from_user (vaddr + i) ((v lsr (8 * i)) land 0xFF)
       done
 end
-
-(* Historical flat names for the [Fast] accessors. *)
-let fetch8_fast = Fast.fetch8
-let read8_fast = Fast.read8
-let write8_fast = Fast.write8
-let read32_fast = Fast.read32
-let write32_fast = Fast.write32
 
 (* Record-raising wrappers for existing callers (the kernel's copy loops,
    tests, tools): same semantics as before the fast path existed. *)

@@ -12,6 +12,8 @@ type ecc = {
 
 type t = {
   page_size : int;
+  shift : int;  (* log2 page_size: packed paddrs split with lsr/land *)
+  mask : int;
   frames : Bytes.t array;
   mutable ecc : ecc option;
   (* Write watch (lib/hw Bbcache): one flag byte per frame, set by
@@ -29,8 +31,13 @@ type t = {
 
 let create ?(page_size = 4096) ~frames () =
   if frames <= 0 then invalid_arg "Phys.create: frames must be positive";
+  if page_size <= 0 || page_size land (page_size - 1) <> 0 then
+    invalid_arg "Phys.create: page size must be a power of two";
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   {
     page_size;
+    shift = log2 page_size;
+    mask = page_size - 1;
     frames = Array.init frames (fun _ -> Bytes.make page_size '\000');
     ecc = None;
     watched = Bytes.make frames '\000';
@@ -51,6 +58,7 @@ let note_write t frame =
   end
 
 let page_size t = t.page_size
+let page_shift t = t.shift
 let frame_count t = Array.length t.frames
 
 let check t frame off len =
@@ -71,7 +79,7 @@ let scrub t frame off len =
       if Bytes.unsafe_get p i <> good then begin
         Bytes.unsafe_set p i good;
         e.corrections <- e.corrections + 1;
-        match e.hook with None -> () | Some h -> h ((frame * t.page_size) + i)
+        match e.hook with None -> () | Some h -> h ((frame lsl t.shift) + i)
       end
     done
 
@@ -90,16 +98,11 @@ let write8 t ~frame ~off v =
 let read32 t ~frame ~off =
   check t frame off 4;
   scrub t frame off 4;
-  let b i = Char.code (Bytes.get t.frames.(frame) (off + i)) in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
+  Int32.to_int (Bytes.get_int32_le t.frames.(frame) off) land 0xFFFF_FFFF
 
 let write32 t ~frame ~off v =
   check t frame off 4;
-  let set i x = Bytes.set t.frames.(frame) (off + i) (Char.chr (x land 0xFF)) in
-  set 0 v;
-  set 1 (v lsr 8);
-  set 2 (v lsr 16);
-  set 3 (v lsr 24);
+  Bytes.set_int32_le t.frames.(frame) off (Int32.of_int v);
   note_write t frame;
   match t.ecc with
   | None -> ()
@@ -186,14 +189,14 @@ let ecc_shadow_write8 t ~frame ~off v =
   | None -> ()
   | Some e -> Bytes.set e.shadow.(frame) off (Char.chr (v land 0xFF))
 
-let addr t ~frame ~off = (frame * t.page_size) + off
-let frame_of_addr t a = a / t.page_size
-let off_of_addr t a = a mod t.page_size
+let addr t ~frame ~off = (frame lsl t.shift) + off
+let frame_of_addr t a = a lsr t.shift
+let off_of_addr t a = a land t.mask
 
 (* Physical-address accessors for the MMU fast path: callers that already
    hold a packed paddr (frame * page_size + off) skip the (frame, off)
    tuple round-trip. *)
-let read8_at t paddr = read8 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size)
-let write8_at t paddr v = write8 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size) v
-let read32_at t paddr = read32 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size)
-let write32_at t paddr v = write32 t ~frame:(paddr / t.page_size) ~off:(paddr mod t.page_size) v
+let read8_at t pa = read8 t ~frame:(frame_of_addr t pa) ~off:(off_of_addr t pa)
+let write8_at t pa v = write8 t ~frame:(frame_of_addr t pa) ~off:(off_of_addr t pa) v
+let read32_at t pa = read32 t ~frame:(frame_of_addr t pa) ~off:(off_of_addr t pa)
+let write32_at t pa v = write32 t ~frame:(frame_of_addr t pa) ~off:(off_of_addr t pa) v

@@ -12,171 +12,185 @@ type stats = {
   mutable evictions : int;
 }
 
+(* Fixed slot arrays; a slot is live while [vpns.(s) >= 0]. A fresh
+   insert stamps its slot with the next [clock] value, and under [Lru]
+   every hit re-stamps it, so the victim — the live slot with the smallest
+   stamp — is the vpn whose latest push would sit at the front of the
+   classic replacement queue. The vpn -> slot index is a chained hash of
+   int arrays ([heads] per [vpn land hmask] bucket, [next] per slot): hits
+   and misses cost one short bucket walk, nothing allocates, and [flush]
+   makes only unbarriered int stores. [next] also chains the slots freed
+   by [invalidate], from [free]. *)
 type t = {
   name : string;
   capacity : int;
   policy : policy;
-  table : (int, entry) Hashtbl.t;
-  fifo : int Queue.t;
-  (* occurrence count of each vpn currently in the queue. Under [Lru] the
-     same vpn is re-pushed on every hit; only its *last* occurrence carries
-     recency, so [evict_one] must skip a popped vpn whose count says a
-     fresher occurrence is still queued. Under [Fifo] counts are 0/1 and the
-     logic degenerates to the classic stale-skip. *)
-  occ : (int, int) Hashtbl.t;
+  vpns : int array;
+  ents : entry array;
+  stamps : int array;
+  heads : int array;
+  next : int array;
+  hmask : int;
+  mutable free : int;
+  mutable used : int;  (* slots at or above [used] have never been filled *)
+  mutable live : int;
+  mutable clock : int;
   stats : stats;
 }
 
+let absent = { vpn = -1; frame = 0; user = false; writable = false; nx = false }
+
 let create ?(policy = Fifo) ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
+  let rec pow2 n = if n >= 4 * capacity then n else pow2 (2 * n) in
   {
     name;
     capacity;
     policy;
-    table = Hashtbl.create capacity;
-    fifo = Queue.create ();
-    occ = Hashtbl.create capacity;
+    vpns = Array.make capacity (-1);
+    ents = Array.make capacity absent;
+    stamps = Array.make capacity 0;
+    heads = Array.make (pow2 1) (-1);
+    next = Array.make capacity (-1);
+    hmask = pow2 1 - 1;
+    free = -1;
+    used = 0;
+    live = 0;
+    clock = 0;
     stats = { hits = 0; misses = 0; flushes = 0; invalidations = 0; evictions = 0 };
   }
 
 let name t = t.name
 let capacity t = t.capacity
 let policy t = t.policy
-let size t = Hashtbl.length t.table
+let size t = t.live
 let stats t = t.stats
 
-let push t vpn =
-  Queue.add vpn t.fifo;
-  match Hashtbl.find_opt t.occ vpn with
-  | None -> Hashtbl.add t.occ vpn 1
-  | Some n -> Hashtbl.replace t.occ vpn (n + 1)
+let rec chase t vpn s =
+  if s < 0 || Array.unsafe_get t.vpns s = vpn then s else chase t vpn (Array.unsafe_get t.next s)
 
-(* Under LRU every hit pushes, so the queue would grow without bound;
-   compact it deterministically once it exceeds a fixed multiple of
-   capacity. Keeping only the *last* occurrence of each live vpn (in
-   relative order) preserves the replacement order exactly, so compaction
-   is semantically invisible — and because it triggers at a deterministic
-   queue length, snapshots taken before/after replay identically. *)
-let compact t =
-  let raw = Array.of_seq (Queue.to_seq t.fifo) in
-  Queue.clear t.fifo;
-  Hashtbl.reset t.occ;
-  let kept = ref [] in
-  let seen = Hashtbl.create t.capacity in
-  for i = Array.length raw - 1 downto 0 do
-    let vpn = raw.(i) in
-    if Hashtbl.mem t.table vpn && not (Hashtbl.mem seen vpn) then begin
-      Hashtbl.add seen vpn ();
-      kept := vpn :: !kept
-    end
-  done;
-  List.iter (fun vpn -> push t vpn) !kept
+(* The slot holding [vpn], or -1. *)
+let slot t vpn = if vpn < 0 then -1 else chase t vpn (Array.unsafe_get t.heads (vpn land t.hmask))
 
-(* LRU recency update on a hit. Allocates a queue cell — so [Lru] trades
-   the allocation-free hit path for better retention; the alloc-gated
-   default stays [Fifo]. *)
-let touch t vpn =
-  push t vpn;
-  if Queue.length t.fifo > 8 * t.capacity then compact t
+let stamp t s =
+  t.stamps.(s) <- t.clock;
+  t.clock <- t.clock + 1
 
-let lookup t vpn =
-  match Hashtbl.find_opt t.table vpn with
-  | Some e ->
-    t.stats.hits <- t.stats.hits + 1;
-    if t.policy = Lru then touch t vpn;
-    Some e
-  | None ->
-    t.stats.misses <- t.stats.misses + 1;
-    None
-
-(* Allocation-free hit path for the MMU fast path: no [Some] box per hit,
-   and [Not_found] is a constant exception. (Under [Lru] the recency push
-   allocates; see [touch].) *)
+(* The MMU's lookup: no [Some] box and no exception; a miss returns the
+   shared [absent] entry. Under [Lru] a hit re-stamps its slot. *)
 let find t vpn =
-  match Hashtbl.find t.table vpn with
-  | e ->
-    t.stats.hits <- t.stats.hits + 1;
-    if t.policy = Lru then touch t vpn;
-    e
-  | exception Not_found ->
+  match slot t vpn with
+  | -1 ->
     t.stats.misses <- t.stats.misses + 1;
-    raise Not_found
+    absent
+  | s ->
+    t.stats.hits <- t.stats.hits + 1;
+    if t.policy = Lru then stamp t s;
+    Array.unsafe_get t.ents s
+
+let lookup t vpn = match find t vpn with e when e == absent -> None | e -> Some e
 
 (* Bulk hit accounting for the block-dispatch fast path: the caller has
    already proven the next [n] lookups of [vpn] would all hit (the entry is
    resident and nothing can evict it in between), so fold them into one
-   call. Must stay observably identical to [n] consecutive [find]s: the hit
-   counter advances by [n], and under LRU each folded hit still pushes a
-   recency occurrence — including the deterministic compaction trigger. *)
+   call. Observably identical to [n] consecutive [find]s: the hit counter
+   advances by [n] and, under LRU, the slot ends up with the newest stamp. *)
 let note_hits t vpn n =
   if n > 0 then begin
     t.stats.hits <- t.stats.hits + n;
     if t.policy = Lru then
-      for _ = 1 to n do
-        touch t vpn
-      done
+      let s = slot t vpn in
+      if s >= 0 then stamp t s
   end
 
-let peek t vpn = Hashtbl.find_opt t.table vpn
+let peek t vpn = match slot t vpn with -1 -> None | s -> Some t.ents.(s)
 
-(* Replacement: pop until a victim qualifies. A popped vpn is skipped when
-   it was already invalidated, or (LRU) when a fresher occurrence remains
-   queued — only the last occurrence of a vpn carries its recency. *)
-let rec evict_one t =
-  match Queue.take_opt t.fifo with
-  | None -> ()
-  | Some victim ->
-    let remaining =
-      match Hashtbl.find_opt t.occ victim with Some n -> n - 1 | None -> 0
-    in
-    if remaining <= 0 then Hashtbl.remove t.occ victim
-    else Hashtbl.replace t.occ victim remaining;
-    if remaining > 0 then evict_one t
-    else if Hashtbl.mem t.table victim then begin
-      Hashtbl.remove t.table victim;
-      t.stats.evictions <- t.stats.evictions + 1
-    end
-    else evict_one t
+(* The slot with the smallest stamp; only called when every slot is live. *)
+let rec victim t s best =
+  if s = t.capacity then best
+  else victim t (s + 1) (if t.stamps.(s) < t.stamps.(best) then s else best)
+
+let rec unlink t s p = if t.next.(p) = s then t.next.(p) <- t.next.(s) else unlink t s t.next.(p)
+
+(* Unlink live slot [s] from its bucket and mark it dead. *)
+let release t s =
+  let h = t.vpns.(s) land t.hmask in
+  if t.heads.(h) = s then t.heads.(h) <- t.next.(s) else unlink t s t.heads.(h);
+  t.vpns.(s) <- -1;
+  t.live <- t.live - 1
 
 let insert t (e : entry) =
-  let fresh = not (Hashtbl.mem t.table e.vpn) in
-  if fresh && Hashtbl.length t.table >= t.capacity then evict_one t;
-  Hashtbl.replace t.table e.vpn e;
-  if fresh then push t e.vpn
+  if e.vpn < 0 then invalid_arg "Tlb.insert: negative vpn";
+  let s = slot t e.vpn in
+  if s >= 0 then t.ents.(s) <- e
+  else begin
+    let s =
+      if t.live = t.capacity then begin
+        t.stats.evictions <- t.stats.evictions + 1;
+        let s = victim t 1 0 in
+        release t s;
+        s
+      end
+      else if t.free >= 0 then begin
+        let s = t.free in
+        t.free <- t.next.(s);
+        s
+      end
+      else begin
+        t.used <- t.used + 1;
+        t.used - 1
+      end
+    in
+    let h = e.vpn land t.hmask in
+    t.vpns.(s) <- e.vpn;
+    t.ents.(s) <- e;
+    t.next.(s) <- t.heads.(h);
+    t.heads.(h) <- s;
+    t.live <- t.live + 1;
+    stamp t s
+  end
+
+let live_slots t = List.filter (fun s -> t.vpns.(s) >= 0) (List.init t.used Fun.id)
 
 (* Fault-injection surface (lib/inject): enumerate and mutate live entries
-   without touching statistics or the FIFO replacement queue — a tampered
-   entry must age exactly like the original would have. *)
+   without touching statistics or stamps — a tampered entry must age
+   exactly like the original would have. *)
 let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
-  |> List.sort (fun a b -> compare a.vpn b.vpn)
+  List.map (fun s -> t.ents.(s)) (live_slots t) |> List.sort (fun a b -> compare a.vpn b.vpn)
 
 let tamper t vpn f =
-  match Hashtbl.find_opt t.table vpn with
-  | None -> false
-  | Some e ->
-    let e' = f e in
-    Hashtbl.replace t.table vpn { e' with vpn };
+  match slot t vpn with
+  | -1 -> false
+  | s ->
+    t.ents.(s) <- { (f t.ents.(s)) with vpn };
     true
 
 let invalidate t vpn =
-  if Hashtbl.mem t.table vpn then begin
-    Hashtbl.remove t.table vpn;
+  let s = slot t vpn in
+  if s >= 0 then begin
+    release t s;
+    t.next.(s) <- t.free;
+    t.free <- s;
     t.stats.invalidations <- t.stats.invalidations + 1
   end
 
+let clear t =
+  for s = 0 to t.used - 1 do
+    if t.vpns.(s) >= 0 then t.heads.(t.vpns.(s) land t.hmask) <- -1
+  done;
+  Array.fill t.vpns 0 t.used (-1);
+  t.used <- 0;
+  t.free <- -1;
+  t.live <- 0
+
 let flush t =
-  Hashtbl.reset t.table;
-  Queue.clear t.fifo;
-  Hashtbl.reset t.occ;
+  clear t;
   t.stats.flushes <- t.stats.flushes + 1
 
-(* Raw state export for snapshots. The FIFO queue is exported verbatim
-   (front first) rather than reconstructed from the live table: it may hold
-   stale or duplicate vpns, and replaying eviction order bit-for-bit after a
-   restore requires preserving exactly that raw sequence. Entries are listed
-   sorted by vpn so that logically identical TLBs export identically
-   regardless of hashtable history. *)
+(* Snapshot state. [s_fifo] lists the live vpns oldest stamp first — the
+   replacement queue with its stale and superseded occurrences dropped.
+   Entries are sorted by vpn so logically identical TLBs export
+   identically whatever their slot history. *)
 type state = {
   s_entries : entry list;
   s_fifo : int list;
@@ -188,13 +202,10 @@ type state = {
 }
 
 let export t =
-  let entries =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
-    |> List.sort (fun a b -> compare a.vpn b.vpn)
-  in
+  let by_age = List.sort (fun a b -> compare t.stamps.(a) t.stamps.(b)) (live_slots t) in
   {
-    s_entries = entries;
-    s_fifo = List.of_seq (Queue.to_seq t.fifo);
+    s_entries = entries t;
+    s_fifo = List.map (fun s -> t.vpns.(s)) by_age;
     s_hits = t.stats.hits;
     s_misses = t.stats.misses;
     s_flushes = t.stats.flushes;
@@ -202,12 +213,18 @@ let export t =
     s_evictions = t.stats.evictions;
   }
 
+(* [s_fifo] may also be a raw legacy queue with stale or duplicate vpns:
+   each live vpn takes the age of its last occurrence, which is the
+   position the classic queue would have evicted it from. *)
 let import t (s : state) =
-  Hashtbl.reset t.table;
-  Queue.clear t.fifo;
-  Hashtbl.reset t.occ;
-  List.iter (fun e -> Hashtbl.replace t.table e.vpn e) s.s_entries;
-  List.iter (fun vpn -> push t vpn) s.s_fifo;
+  clear t;
+  List.iter (insert t) s.s_entries;
+  if t.live <> List.length s.s_entries then invalid_arg "Tlb.import: bad entry list";
+  Array.fill t.stamps 0 t.capacity (-1);
+  List.iteri (fun i vpn -> if slot t vpn >= 0 then t.stamps.(slot t vpn) <- i) s.s_fifo;
+  if Array.exists (fun st -> st < 0) (Array.sub t.stamps 0 t.live) then
+    invalid_arg "Tlb.import: live vpn missing from the replacement queue";
+  t.clock <- List.length s.s_fifo;
   t.stats.hits <- s.s_hits;
   t.stats.misses <- s.s_misses;
   t.stats.flushes <- s.s_flushes;

@@ -9,11 +9,10 @@
 
 type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
 
-(** Replacement policy. [Fifo] (the default) keeps the allocation-free hit
-    path: entries age in insertion order. [Lru] re-queues a vpn on every
-    hit so the least-recently-used live entry is the victim — it retains
-    hot pages better but allocates a queue cell per hit, so the
-    alloc-gated configurations stay on [Fifo]. *)
+(** Replacement policy. [Fifo] (the default): entries age in insertion
+    order. [Lru]: every hit renews the entry's age, so the
+    least-recently-used live entry is the victim. Neither allocates on a
+    hit. *)
 type policy = Fifo | Lru
 
 val policy_name : policy -> string
@@ -37,28 +36,31 @@ val policy : t -> policy
 val size : t -> int
 val stats : t -> stats
 
-val lookup : t -> int -> entry option
-(** Lookup by virtual page number; updates hit/miss statistics. *)
+val absent : entry
+(** What {!find} returns on a miss (compare with [==]); its vpn is [-1]. *)
 
 val find : t -> int -> entry
-(** Like {!lookup} but without the [option] box: raises the constant
-    [Not_found] on a miss. The MMU fast path's allocation-free lookup. *)
+(** Lookup by virtual page number; updates hit/miss statistics and returns
+    {!absent} on a miss. The MMU's allocation-free lookup. *)
+
+val lookup : t -> int -> entry option
+(** {!find} with the result boxed in an [option]. *)
 
 val note_hits : t -> int -> int -> unit
 (** [note_hits t vpn n] accounts for [n] guaranteed hits on [vpn] without
-    performing the lookups: hits advance by [n] and, under {!Lru}, each
-    folded hit pushes its recency occurrence exactly as [n] consecutive
-    {!find}s would (including compaction timing). The caller must know the
-    entry is resident and cannot be evicted across the folded window — the
-    block-dispatch contract for the trailing bytes of a page-bounded
-    instruction. *)
+    performing the lookups: hits advance by [n] and, under {!Lru}, the
+    entry's age is renewed exactly as [n] consecutive {!find}s would
+    renew it. The caller must know the entry is resident and cannot be
+    evicted across the folded window — the block-dispatch contract for the
+    trailing bytes of a page-bounded instruction. *)
 
 val peek : t -> int -> entry option
 (** Lookup without touching statistics (for tests and assertions). *)
 
 val insert : t -> entry -> unit
-(** Insert (replacing any entry for the same vpn); evicts per the
-    replacement {!policy} when full. *)
+(** Insert (replacing any entry for the same vpn, which keeps its age);
+    when full, evicts the live entry with the oldest age under the
+    replacement {!policy}. @raise Invalid_argument on a negative vpn. *)
 
 val entries : t -> entry list
 (** Live entries sorted by vpn, without touching statistics — the
@@ -66,8 +68,8 @@ val entries : t -> entry list
 
 val tamper : t -> int -> (entry -> entry) -> bool
 (** [tamper t vpn f] replaces the entry for [vpn] with [f entry] in place
-    (the vpn itself cannot be changed), bypassing statistics and the FIFO
-    queue. Returns [false] if no entry is cached for [vpn]. This is the
+    (the vpn itself cannot be changed), bypassing statistics and ages.
+    Returns [false] if no entry is cached for [vpn]. This is the
     fault-injection surface: it models a bit flip inside a TLB cell, not an
     architectural insert. *)
 
@@ -79,20 +81,23 @@ val flush : t -> unit
 
 type state = {
   s_entries : entry list;  (** live entries, sorted by vpn *)
-  s_fifo : int list;  (** raw FIFO replacement queue, front first *)
+  s_fifo : int list;  (** live vpns in replacement order, oldest first *)
   s_hits : int;
   s_misses : int;
   s_flushes : int;
   s_invalidations : int;
   s_evictions : int;
 }
-(** Complete serializable TLB state. The raw FIFO queue (which may contain
-    stale or duplicate vpns) is preserved so a restored TLB reproduces the
+(** Complete serializable TLB state: a restored TLB reproduces the
     original's future eviction order exactly. *)
 
 val export : t -> state
 val import : t -> state -> unit
-(** Replace the TLB's contents and statistics with [state]. *)
+(** Replace the TLB's contents and statistics with [state]. [s_fifo] may
+    be a raw replacement queue with stale or duplicate vpns: each live vpn
+    takes the age of its last occurrence. @raise Invalid_argument when
+    [s_entries] exceeds the capacity, repeats a vpn, or holds a vpn absent
+    from [s_fifo]. *)
 
 val hit_rate : t -> float
 (** [hits / (hits + misses)]; 0 before any lookup. *)

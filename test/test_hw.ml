@@ -28,6 +28,38 @@ let test_phys_bounds () =
   Alcotest.check_raises "off overflow" (Invalid_argument "Phys: offset 4093+4 out of page")
     (fun () -> ignore (Hw.Phys.read32 phys ~frame:0 ~off:4093))
 
+let test_phys_page_size () =
+  Alcotest.check_raises "non-power-of-two page"
+    (Invalid_argument "Phys.create: page size must be a power of two") (fun () ->
+      ignore (Hw.Phys.create ~page_size:3000 ~frames:1 ()));
+  Alcotest.(check int) "shift" 12 (Hw.Phys.page_shift (Hw.Phys.create ~frames:1 ()))
+
+(* [read32]/[write32] are single little-endian word accesses; they must
+   agree byte for byte with the per-byte assembly they replaced, for any
+   int (the low 32 bits are stored, the read is unsigned). *)
+let test_phys_word_bytes () =
+  let phys = Hw.Phys.create ~page_size:4096 ~frames:2 () in
+  let byte off = Hw.Phys.read8 phys ~frame:1 ~off in
+  List.iter
+    (fun v ->
+      Hw.Phys.write32 phys ~frame:1 ~off:4092 v;
+      for i = 0 to 3 do
+        Alcotest.(check int) (Fmt.str "byte %d of %d" i v)
+          ((v lsr (8 * i)) land 0xFF)
+          (byte (4092 + i))
+      done;
+      let assembled =
+        byte 4092 lor (byte 4093 lsl 8) lor (byte 4094 lsl 16) lor (byte 4095 lsl 24)
+      in
+      Alcotest.(check int) (Fmt.str "read32 of %d" v) assembled
+        (Hw.Phys.read32 phys ~frame:1 ~off:4092);
+      Alcotest.(check int) "read32_at" assembled
+        (Hw.Phys.read32_at phys (Hw.Phys.addr phys ~frame:1 ~off:4092)))
+    [
+      0; 1; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF; -1; -2; min_int; max_int; 0x1_2345_6789;
+      0xDEAD_BEEF_CAFE;
+    ]
+
 (* --- TLB ----------------------------------------------------------------- *)
 
 let entry vpn frame : Hw.Tlb.entry = { vpn; frame; user = true; writable = true; nx = false }
@@ -62,6 +94,42 @@ let test_tlb_invalidate_flush () =
   Hw.Tlb.flush tlb;
   Alcotest.(check int) "flushed" 0 (Hw.Tlb.size tlb);
   Alcotest.(check int) "flush count" 1 (Hw.Tlb.stats tlb).flushes
+
+(* The hit paths allocate nothing: MMU translation hits (fetch and read,
+   both policies), LRU bulk hit accounting, and a flush. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_hit_paths_allocation_free () =
+  let noise = minor_words_of ignore in
+  let check_free what f =
+    f ();
+    Alcotest.(check (float 0.)) what noise (minor_words_of f)
+  in
+  List.iter
+    (fun policy ->
+      let phys = Hw.Phys.create ~frames:8 () in
+      let mmu = Hw.Mmu.create ~tlb_policy:policy ~phys ~cost:(Hw.Cost.create ()) () in
+      let pte = { Hw.Mmu.frame = 3; present = true; writable = true; user = true; nx = false } in
+      Hw.Mmu.reload_cr3 mmu (fun _ -> Some pte);
+      let name = Hw.Tlb.policy_name policy in
+      List.iter
+        (fun access ->
+          check_free (Fmt.str "%s %a hits" name Hw.Mmu.pp_access access) (fun () ->
+              for i = 1 to 10_000 do
+                let vaddr = 0x5000 + (i land 0xFFF) in
+                ignore (Hw.Mmu.translate_result mmu ~from_user:true access vaddr)
+              done))
+        [ Hw.Mmu.Fetch; Hw.Mmu.Read ];
+      let itlb = Hw.Mmu.itlb mmu in
+      check_free (name ^ " note_hits") (fun () ->
+          for _ = 1 to 10_000 do
+            Hw.Tlb.note_hits itlb 5 3
+          done);
+      check_free (name ^ " flush") (fun () -> Hw.Tlb.flush itlb))
+    [ Hw.Tlb.Fifo; Hw.Tlb.Lru ]
 
 (* --- MMU ----------------------------------------------------------------- *)
 
@@ -250,9 +318,12 @@ let suite =
   [
     Alcotest.test_case "phys read/write/copy/fill" `Quick test_phys_rw;
     Alcotest.test_case "phys bounds checking" `Quick test_phys_bounds;
+    Alcotest.test_case "phys rejects non-power-of-two pages" `Quick test_phys_page_size;
+    Alcotest.test_case "phys word access matches byte assembly" `Quick test_phys_word_bytes;
     Alcotest.test_case "tlb insert/evict fifo" `Quick test_tlb_basics;
     Alcotest.test_case "tlb same-vpn replace" `Quick test_tlb_replace_same_vpn;
     Alcotest.test_case "tlb invalidate/flush" `Quick test_tlb_invalidate_flush;
+    Alcotest.test_case "tlb and mmu hit paths allocate nothing" `Quick test_hit_paths_allocation_free;
     Alcotest.test_case "mmu translate + cache independence" `Quick test_mmu_translate_and_cache;
     Alcotest.test_case "mmu supervisor faults" `Quick test_mmu_supervisor_fault;
     Alcotest.test_case "mmu nx enforcement" `Quick test_mmu_nx;

@@ -129,6 +129,197 @@ let prop_tlb_capacity =
             model true)
         ops)
 
+(* Differential test of the slot/stamp TLB against a list model of the
+   classic replacement queue: fresh inserts (and, under LRU, every hit)
+   push the vpn; eviction pops from the front, skipping vpns that are no
+   longer cached or that still have a fresher occurrence queued; flush
+   empties the queue; invalidate and tamper leave it alone. *)
+module Queue_tlb = struct
+  type t = {
+    cap : int;
+    lru : bool;
+    mutable table : (int * Hw.Tlb.entry) list;
+    mutable queue : int list;  (* front first, stale and duplicate vpns kept *)
+    st : Hw.Tlb.stats;
+  }
+
+  let create lru cap =
+    let st = { Hw.Tlb.hits = 0; misses = 0; flushes = 0; invalidations = 0; evictions = 0 } in
+    { cap; lru; table = []; queue = []; st }
+
+  let push t v = t.queue <- t.queue @ [ v ]
+
+  let rec evict t =
+    match t.queue with
+    | [] -> None
+    | v :: rest ->
+      t.queue <- rest;
+      if List.mem v rest || not (List.mem_assoc v t.table) then evict t
+      else begin
+        t.table <- List.remove_assoc v t.table;
+        t.st.evictions <- t.st.evictions + 1;
+        Some v
+      end
+
+  let insert t (e : Hw.Tlb.entry) =
+    let fresh = not (List.mem_assoc e.vpn t.table) in
+    let victim = if fresh && List.length t.table >= t.cap then evict t else None in
+    t.table <- (e.vpn, e) :: List.remove_assoc e.vpn t.table;
+    if fresh then push t e.vpn;
+    victim
+
+  let find t v =
+    match List.assoc_opt v t.table with
+    | Some e ->
+      t.st.hits <- t.st.hits + 1;
+      if t.lru then push t v;
+      Some e
+    | None ->
+      t.st.misses <- t.st.misses + 1;
+      None
+
+  let note_hits t v n =
+    if n > 0 then begin
+      t.st.hits <- t.st.hits + n;
+      if t.lru then for _ = 1 to n do push t v done
+    end
+
+  let invalidate t v =
+    if List.mem_assoc v t.table then begin
+      t.table <- List.remove_assoc v t.table;
+      t.st.invalidations <- t.st.invalidations + 1
+    end
+
+  let flush t =
+    t.table <- [];
+    t.queue <- [];
+    t.st.flushes <- t.st.flushes + 1
+
+  let tamper t v frame =
+    match List.assoc_opt v t.table with
+    | None -> false
+    | Some e ->
+      t.table <- (v, { e with frame }) :: List.remove_assoc v t.table;
+      true
+
+  (* the raw legacy snapshot: the queue verbatim, stale and duplicate vpns
+     included *)
+  let legacy_state t : Hw.Tlb.state =
+    {
+      s_entries =
+        List.sort (fun (a : Hw.Tlb.entry) b -> compare a.vpn b.vpn) (List.map snd t.table);
+      s_fifo = t.queue;
+      s_hits = t.st.hits;
+      s_misses = t.st.misses;
+      s_flushes = t.st.flushes;
+      s_invalidations = t.st.invalidations;
+      s_evictions = t.st.evictions;
+    }
+end
+
+type tlb_diff_op =
+  | D_insert of int * int
+  | D_lookup of int
+  | D_find of int
+  | D_note_hits of int * int
+  | D_invalidate of int
+  | D_flush
+  | D_tamper of int * int
+  | D_roundtrip
+  | D_legacy_import
+
+(* small vpns plus multiples of 16, which share index buckets at every
+   capacity and so build multi-entry chains *)
+let diff_vpns = List.init 12 Fun.id @ List.init 6 (fun k -> 16 * (k + 1))
+
+let gen_diff_op =
+  let v = Gen.oneofl diff_vpns in
+  Gen.(
+    frequency
+      [
+        (6, map2 (fun v f -> D_insert (v, f)) v (int_range 1 99));
+        (4, map (fun v -> D_lookup v) v);
+        (4, map (fun v -> D_find v) v);
+        (2, map2 (fun v n -> D_note_hits (v, n)) v (int_range 0 3));
+        (2, map (fun v -> D_invalidate v) v);
+        (1, return D_flush);
+        (1, map2 (fun v f -> D_tamper (v, f)) v (int_range 1 99));
+        (1, return D_roundtrip);
+        (1, return D_legacy_import);
+      ])
+
+let show_diff_op = function
+  | D_insert (v, f) -> Fmt.str "insert %d->%d" v f
+  | D_lookup v -> Fmt.str "lookup %d" v
+  | D_find v -> Fmt.str "find %d" v
+  | D_note_hits (v, n) -> Fmt.str "note_hits %d x%d" v n
+  | D_invalidate v -> Fmt.str "invalidate %d" v
+  | D_flush -> "flush"
+  | D_tamper (v, f) -> Fmt.str "tamper %d->%d" v f
+  | D_roundtrip -> "export/import"
+  | D_legacy_import -> "legacy import"
+
+let prop_tlb_matches_queue_model =
+  Test.make ~name:"slot/stamp tlb matches the replacement-queue model" ~count:1000
+    (make
+       ~print:(fun (lru, cap, ops) ->
+         Fmt.str "%s cap=%d: %s" (if lru then "lru" else "fifo") cap
+           (String.concat "; " (List.map show_diff_op ops)))
+       Gen.(triple bool (int_range 1 8) (list_size (int_range 1 120) gen_diff_op)))
+    (fun (lru, cap, ops) ->
+      let policy = if lru then Hw.Tlb.Lru else Hw.Tlb.Fifo in
+      let tlb = Hw.Tlb.create ~policy ~name:"diff" ~capacity:cap () in
+      let model = Queue_tlb.create lru cap in
+      let entry vpn frame : Hw.Tlb.entry =
+        { vpn; frame; user = true; writable = vpn land 1 = 0; nx = false }
+      in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | D_insert (v, f) ->
+              let before = Hw.Tlb.entries tlb in
+              Hw.Tlb.insert tlb (entry v f);
+              let gone =
+                List.filter_map
+                  (fun (e : Hw.Tlb.entry) ->
+                    if Hw.Tlb.peek tlb e.vpn = None then Some e.vpn else None)
+                  before
+              in
+              gone = Option.to_list (Queue_tlb.insert model (entry v f))
+            | D_lookup v -> Hw.Tlb.lookup tlb v = Queue_tlb.find model v
+            | D_find v ->
+              (match Hw.Tlb.find tlb v with e when e == Hw.Tlb.absent -> None | e -> Some e)
+              = Queue_tlb.find model v
+            | D_note_hits (v, n) ->
+              Hw.Tlb.note_hits tlb v n;
+              Queue_tlb.note_hits model v n;
+              true
+            | D_invalidate v ->
+              Hw.Tlb.invalidate tlb v;
+              Queue_tlb.invalidate model v;
+              true
+            | D_flush ->
+              Hw.Tlb.flush tlb;
+              Queue_tlb.flush model;
+              true
+            | D_tamper (v, f) ->
+              Hw.Tlb.tamper tlb v (fun e -> { e with frame = f }) = Queue_tlb.tamper model v f
+            | D_roundtrip ->
+              Hw.Tlb.import tlb (Hw.Tlb.export tlb);
+              true
+            | D_legacy_import ->
+              Hw.Tlb.import tlb (Queue_tlb.legacy_state model);
+              true
+          in
+          agrees
+          && Hw.Tlb.stats tlb = model.st
+          && Hw.Tlb.size tlb = List.length model.table
+          && List.for_all
+               (fun v -> Hw.Tlb.peek tlb v = List.assoc_opt v model.table)
+               diff_vpns)
+        ops)
+
 let prop_signature =
   Test.make ~name:"signature verifies and detects tampering" ~count:300
     (make Gen.(pair (list_size (int_range 1 5) string_small) small_nat))
@@ -193,6 +384,7 @@ let suite =
       prop_program_roundtrip;
       prop_sign_mask;
       prop_tlb_capacity;
+      prop_tlb_matches_queue_model;
       prop_signature;
       prop_pipe_fifo;
       prop_split_writes_never_touch_code_copy;
