@@ -480,7 +480,9 @@ let alloc_per_insn (s : Workload.Harness.spec) =
 
 (* "quickstart" is the README's greeter guest under stand-alone split
    memory; "fig7_ctxsw" is the TLB-flush-heavy pipe context-switch stress
-   test, where per-step translation allocations dominate. *)
+   test, where per-step translation allocations dominate; "serve" is a
+   small serving machine (2 closed-loop client/server pairs x 16 requests,
+   2 KiB responses), where syscalls, pipe copies and sleeps dominate. *)
 let alloc_numbers () =
   [
     ( "quickstart",
@@ -489,6 +491,11 @@ let alloc_numbers () =
     ( "fig7_ctxsw",
       alloc_per_insn
         (Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:250) );
+    ( "serve",
+      alloc_per_insn
+        (Serve.Scenario.spec
+           (Serve.Scenario.config ~defense:Defense.split_standalone ~concurrency:2
+              ~requests:16 ())) );
   ]
 
 let alloc () =

@@ -218,7 +218,9 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
         let off = eip mod psz in
         let len = min 20 (psz - off) in
         let bytes =
-          String.init len (fun i -> Char.chr (Hw.Phys.read8 ctx.phys ~frame:s.data_frame ~off:(off + i)))
+          let b = Bytes.create len in
+          Hw.Phys.read_into ctx.phys ~frame:s.data_frame ~off ~len b ~pos:0;
+          Bytes.unsafe_to_string b
         in
         Kernel.Event_log.add ctx.log (Kernel.Event_log.Shellcode_dump { pid = proc.pid; eip; bytes });
         (* the control-flow trail that led into the injected code *)

@@ -116,13 +116,22 @@ let fill t ~frame byte =
   | None -> ()
   | Some e -> Bytes.fill e.shadow.(frame) 0 t.page_size (Char.chr (byte land 0xFF))
 
-let blit_from_string t ~frame ~off s =
-  check t frame off (String.length s);
-  Bytes.blit_string s 0 t.frames.(frame) off (String.length s);
+(* Range read: the same bounds check, then correct-on-read over the whole
+   range in ascending address order (corrections and hook firings exactly
+   as a [read8] per byte would make them), then one blit. *)
+let read_into t ~frame ~off ~len dst ~pos =
+  check t frame off len;
+  scrub t frame off len;
+  Bytes.blit t.frames.(frame) off dst pos len
+
+let blit_from_string t ~frame ~off ?(pos = 0) ?len s =
+  let len = match len with Some n -> n | None -> String.length s - pos in
+  check t frame off len;
+  Bytes.blit_string s pos t.frames.(frame) off len;
   note_write t frame;
   match t.ecc with
   | None -> ()
-  | Some e -> Bytes.blit_string s 0 e.shadow.(frame) off (String.length s)
+  | Some e -> Bytes.blit_string s pos e.shadow.(frame) off len
 
 let to_string t ~frame =
   check t frame 0 t.page_size;

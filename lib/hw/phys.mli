@@ -25,7 +25,20 @@ val write32 : t -> frame:int -> off:int -> int -> unit
 val fill : t -> frame:int -> int -> unit
 (** Fill an entire frame with one byte value. *)
 
-val blit_from_string : t -> frame:int -> off:int -> string -> unit
+val read_into : t -> frame:int -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [read_into t ~frame ~off ~len dst ~pos] copies [len] bytes at [off]
+    into [dst] at [pos]: one checked read of the whole range, with the same
+    bounds check and ECC correct-on-read (same corrections, same order,
+    same hook addresses) as {!read8} on each byte in ascending order.
+    @raise Invalid_argument when the range leaves the page. *)
+
+val blit_from_string :
+  t -> frame:int -> off:int -> ?pos:int -> ?len:int -> string -> unit
+(** Write [len] bytes of the string starting at [pos] (default: all of it
+    from 0) into the frame at [off]. One write-watch check per call; the
+    ECC shadow is written too. @raise Invalid_argument when the range
+    leaves the page. *)
+
 val to_string : t -> frame:int -> string
 (** Snapshot of a frame's contents. *)
 
@@ -62,10 +75,10 @@ val watch_frame : t -> frame:int -> unit
 
     Fault-injection support (lib/inject): when enabled, a shadow copy of
     every frame stands in for SECDED check bits. All write paths update
-    primary and shadow together; all read paths ({!read8}, {!read32} and
-    their [_at] variants) compare the bytes about to be read against the
-    shadow and silently correct the primary on mismatch — the behaviour of
-    a correctable DRAM error. Raw exports ({!to_string}, {!blit_to_bytes},
+    primary and shadow together; all read paths ({!read8}, {!read32}, their
+    [_at] variants and {!read_into}) compare the bytes about to be read
+    against the shadow and silently correct the primary on mismatch — the
+    behaviour of a correctable DRAM error. Raw exports ({!to_string}, {!blit_to_bytes},
     {!is_zero_frame}) deliberately bypass the check so snapshots and
     forensics see the flipped bytes as they sit in the array. Disabled by
     default: the off path costs one field load per access and allocates

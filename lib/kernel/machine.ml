@@ -441,56 +441,54 @@ let ensure_mapped_for_kernel t (p : Proc.t) vpn ~write =
       map_demand_page t p region vpn
     | None -> raise Efault)
 
-let copy_from_user t p addr len =
-  let buf = Buffer.create len in
-  let remaining = ref len in
-  let addr = ref addr in
-  while !remaining > 0 do
-    let vpn = !addr / t.page_size in
-    let off = !addr mod t.page_size in
-    let chunk = min !remaining (t.page_size - off) in
-    let pte = ensure_mapped_for_kernel t p vpn ~write:false in
-    let frame = Pte.data_frame pte in
-    for i = 0 to chunk - 1 do
-      Buffer.add_char buf (Char.chr (Hw.Phys.read8 t.phys ~frame ~off:(off + i)))
-    done;
-    remaining := !remaining - chunk;
-    addr := !addr + chunk
-  done;
-  Buffer.contents buf
-
-let copy_to_user t p addr s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let vpn = a / t.page_size in
-    let off = a mod t.page_size in
-    let chunk = min (len - !pos) (t.page_size - off) in
-    let pte = ensure_mapped_for_kernel t p vpn ~write:true in
-    let frame = Pte.data_frame pte in
-    for i = 0 to chunk - 1 do
-      Hw.Phys.write8 t.phys ~frame ~off:(off + i) (Char.code s.[!pos + i])
-    done;
-    pos := !pos + chunk
-  done
-
-let read_cstring t p addr ~max =
-  let buf = Buffer.create 16 in
-  let rec go i =
-    if i >= max then Buffer.contents buf
-    else
-      let vpn = (addr + i) / t.page_size in
-      let off = (addr + i) mod t.page_size in
-      let pte = ensure_mapped_for_kernel t p vpn ~write:false in
-      let b = Hw.Phys.read8 t.phys ~frame:(Pte.data_frame pte) ~off in
-      if b = 0 then Buffer.contents buf
-      else begin
-        Buffer.add_char buf (Char.chr b);
-        go (i + 1)
-      end
+(* The one page walker behind every kernel<->guest copy. For each page of
+   [addr, addr+len), in ascending order, it services the page
+   ([ensure_mapped_for_kernel]: Efault, COW, demand mapping) before [f]
+   touches it, so a fault on a later page leaves the earlier pages copied.
+   [f] gets the data frame, the in-page offset, the chunk length and the
+   chunk's position in the range, and returns [false] to stop there. *)
+let walk_user t p addr len ~write f =
+  let shift = Hw.Phys.page_shift t.phys and mask = t.page_size - 1 in
+  let rec go pos =
+    if pos < len then begin
+      let a = addr + pos in
+      let off = a land mask in
+      let chunk = min (len - pos) (t.page_size - off) in
+      let pte = ensure_mapped_for_kernel t p (a lsr shift) ~write in
+      if f (Pte.data_frame pte) off chunk pos then go (pos + chunk)
+    end
   in
   go 0
+
+let copy_from_user t p addr len =
+  let dst = Bytes.create (max 0 len) in
+  walk_user t p addr len ~write:false (fun frame off chunk pos ->
+      Hw.Phys.read_into t.phys ~frame ~off ~len:chunk dst ~pos;
+      true);
+  Bytes.unsafe_to_string dst
+
+let copy_to_user t p addr s =
+  walk_user t p addr (String.length s) ~write:true (fun frame off chunk pos ->
+      Hw.Phys.blit_from_string t.phys ~frame ~off ~pos ~len:chunk s;
+      true)
+
+(* Byte reads within each page: a range read would scrub (ECC-correct)
+   bytes past the terminating NUL that the string never touches. *)
+let read_cstring t p addr ~max =
+  let buf = Buffer.create 16 in
+  walk_user t p addr max ~write:false (fun frame off chunk _ ->
+      let rec scan i =
+        if i >= chunk then true
+        else
+          let b = Hw.Phys.read8 t.phys ~frame ~off:(off + i) in
+          if b = 0 then false
+          else begin
+            Buffer.add_char buf (Char.chr b);
+            scan (i + 1)
+          end
+      in
+      scan 0);
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Process teardown                                                    *)
@@ -750,13 +748,16 @@ let do_fork t (parent : Proc.t) =
 (* ------------------------------------------------------------------ *)
 
 let sebek_trace t (p : Proc.t) name info =
-  if p.sebek_active then Event_log.add t.log (Syscall_traced { pid = p.pid; name; info })
+  if p.sebek_active then Event_log.add t.log (Syscall_traced { pid = p.pid; name; info = info () })
 
 let preview s =
+  let n = String.length s in
   let clean =
-    String.map (fun c -> if Char.code c >= 32 && Char.code c < 127 then c else '.') s
+    String.init (min n 40) (fun i ->
+        let c = String.unsafe_get s i in
+        if Char.code c >= 32 && Char.code c < 127 then c else '.')
   in
-  if String.length clean > 40 then String.sub clean 0 40 ^ "..." else clean
+  if n > 40 then clean ^ "..." else clean
 
 let block t (p : Proc.t) cond =
   (* Rewind over [int 0x80] so the syscall re-executes on wake-up. *)

@@ -213,11 +213,15 @@ val connect : ?capacity:int -> t -> Proc.t -> Proc.t -> unit
 val do_fork : t -> Proc.t -> int
 (** Fork [parent]; returns the child pid. *)
 
-val sebek_trace : t -> Proc.t -> string -> string -> unit
-(** Covert per-syscall logging when the process is sebek-tagged. *)
+val sebek_trace : t -> Proc.t -> string -> (unit -> string) -> unit
+(** Covert per-syscall logging when the process is sebek-tagged. The info
+    text is built (the thunk called) only then: untraced processes pay no
+    formatting. *)
 
 val preview : string -> string
-(** Printable, truncated preview of guest bytes for log lines. *)
+(** Printable, truncated preview of guest bytes for log lines: the first
+    40 bytes with non-printables as ['.'], then ["..."] when longer. Looks
+    at no byte past the 40th. *)
 
 val block : t -> Proc.t -> Proc.wait_cond -> unit
 (** Block the process, rewind EIP over [int 0x80] so the syscall

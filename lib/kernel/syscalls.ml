@@ -32,13 +32,13 @@ let ret (p : Proc.t) v = Hw.Cpu.set p.regs Isa.Reg.EAX v
 (* exit(status) *)
 let sys_exit (m : M.t) p =
   let ebx = arg p Isa.Reg.EBX in
-  M.sebek_trace m p "exit" (string_of_int ebx);
+  M.sebek_trace m p "exit" (fun () -> string_of_int ebx);
   M.terminate m p (Proc.Exited (ebx land 0xFF))
 
 (* fork() *)
 let sys_fork (m : M.t) p =
   let child = M.do_fork m p in
-  M.sebek_trace m p "fork" (Fmt.str "-> %d" child);
+  M.sebek_trace m p "fork" (fun () -> Fmt.str "-> %d" child);
   ret p child
 
 (* read(fd, buf, len) *)
@@ -49,7 +49,7 @@ let sys_read (m : M.t) (p : Proc.t) =
     if not (Pipe.is_empty pipe) then begin
       let s = Pipe.read pipe ~max:len in
       M.copy_to_user m p buf s;
-      M.sebek_trace m p "read" (Fmt.str "fd=%d %S" fd (M.preview s));
+      M.sebek_trace m p "read" (fun () -> Fmt.str "fd=%d %S" fd (M.preview s));
       ret p (String.length s)
     end
     else if Pipe.has_writers pipe then M.block m p (Proc.Read_fd fd)
@@ -68,7 +68,7 @@ let sys_write (m : M.t) (p : Proc.t) =
       let s = M.copy_from_user m p buf chunk in
       let written = Pipe.write pipe s in
       Hw.Cost.charge m.cost (written * m.cost.params.io_byte);
-      M.sebek_trace m p "write" (Fmt.str "fd=%d %S" fd (M.preview s));
+      M.sebek_trace m p "write" (fun () -> Fmt.str "fd=%d %S" fd (M.preview s));
       ret p written
     end
   | Some (Read_end _) | None -> ret p (-9)
@@ -88,7 +88,7 @@ let sys_waitpid (m : M.t) p =
     match List.find_opt Proc.is_zombie children with
     | Some z ->
       M.reap m z;
-      M.sebek_trace m p "waitpid" (Fmt.str "-> %d" z.pid);
+      M.sebek_trace m p "waitpid" (fun () -> Fmt.str "-> %d" z.pid);
       ret p z.pid
     | None -> M.block m p (Proc.Child target))
 
@@ -96,7 +96,7 @@ let sys_waitpid (m : M.t) p =
 let sys_execve (m : M.t) (p : Proc.t) =
   let path = M.read_cstring m p (arg p Isa.Reg.EBX) ~max:64 in
   Event_log.add m.log (Exec_shell { pid = p.pid; path });
-  M.sebek_trace m p "execve" (Fmt.str "%S" path);
+  M.sebek_trace m p "execve" (fun () -> Fmt.str "%S" path);
   ret p 0
 
 (* time() — cycle counter *)
@@ -129,7 +129,7 @@ let sys_brk (_m : M.t) (p : Proc.t) =
 let sys_sigrecover (m : M.t) (p : Proc.t) =
   let ebx = arg p Isa.Reg.EBX in
   p.recovery_handler <- (if ebx = 0 then None else Some ebx);
-  M.sebek_trace m p "sigrecover" (Fmt.str "0x%08x" ebx);
+  M.sebek_trace m p "sigrecover" (fun () -> Fmt.str "0x%08x" ebx);
   ret p 0
 
 (* mmap(len, prot) *)
@@ -150,7 +150,7 @@ let sys_mmap (m : M.t) (p : Proc.t) =
         share = None;
       };
     p.aspace.mmap_cursor <- base + ((pages + 1) * m.page_size);
-    M.sebek_trace m p "mmap" (Fmt.str "len=%d prot=%d -> 0x%08x" len prot base);
+    M.sebek_trace m p "mmap" (fun () -> Fmt.str "len=%d prot=%d -> 0x%08x" len prot base);
     ret p base
   end
 
@@ -216,7 +216,7 @@ let sys_uselib (m : M.t) (p : Proc.t) =
             source = Image_bytes { base = lib.lib_base; bytes = lib.code };
             share = None;
           };
-      M.sebek_trace m p "uselib" (Fmt.str "%S -> 0x%08x" name lib.lib_base);
+      M.sebek_trace m p "uselib" (fun () -> Fmt.str "%S -> 0x%08x" name lib.lib_base);
       ret p lib.lib_base
     end
 
@@ -230,7 +230,7 @@ let sys_sched_yield (_m : M.t) p = ret p 0
    *after* the [int 0x80] when the deadline passes. *)
 let sys_nanosleep (m : M.t) (p : Proc.t) =
   let d = arg p Isa.Reg.EBX in
-  M.sebek_trace m p "nanosleep" (Fmt.str "%d cycles" d);
+  M.sebek_trace m p "nanosleep" (fun () -> Fmt.str "%d cycles" d);
   ret p 0;
   if d > 0 then begin
     let until_ = m.cost.cycles + d in
@@ -275,16 +275,12 @@ let default () = Lazy.force default_table
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_handler t m p n =
-  match Hashtbl.find_opt t.entries n with
-  | Some e -> e.handler m p
-  | None -> ret p (-38)
-
 let dispatch t (m : M.t) (p : Proc.t) n =
+  let entry = find t n in
   let go () =
     (* the two kernel-internal escapes every handler may take: a bad guest
        pointer (EFAULT) and physical-memory exhaustion (OOM-kill) *)
-    try run_handler t m p n with
+    try match entry with Some e -> e.handler m p | None -> ret p (-38) with
     | M.Efault -> ret p (-14)
     | Frame_alloc.Out_of_frames -> M.oom_kill m p
   in
@@ -303,7 +299,7 @@ let dispatch t (m : M.t) (p : Proc.t) n =
     tracer
       {
         sys_number = n;
-        sys_name = name t n;
+        sys_name = (match entry with Some e -> e.name | None -> name t n);
         sys_pid = p.pid;
         sys_args = args;
         sys_outcome = outcome;

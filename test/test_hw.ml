@@ -34,6 +34,67 @@ let test_phys_page_size () =
       ignore (Hw.Phys.create ~page_size:3000 ~frames:1 ()));
   Alcotest.(check int) "shift" 12 (Hw.Phys.page_shift (Hw.Phys.create ~frames:1 ()))
 
+(* Range accessors check the whole range before touching a byte: one that
+   runs past the page end raises [Invalid_argument] like [read8]/[write8]
+   at an out-of-page offset, and leaves memory as it was. *)
+let test_phys_range_bounds () =
+  let phys = Hw.Phys.create ~frames:2 () in
+  let dst = Bytes.make 16 '.' in
+  Alcotest.check_raises "read8 past the page end"
+    (Invalid_argument "Phys: offset 4096+1 out of page") (fun () ->
+      ignore (Hw.Phys.read8 phys ~frame:0 ~off:4096));
+  Alcotest.check_raises "range read past the page end"
+    (Invalid_argument "Phys: offset 4090+10 out of page") (fun () ->
+      Hw.Phys.read_into phys ~frame:0 ~off:4090 ~len:10 dst ~pos:0);
+  Alcotest.(check string) "no partial read" (String.make 16 '.') (Bytes.to_string dst);
+  Alcotest.check_raises "write8 past the page end"
+    (Invalid_argument "Phys: offset 4096+1 out of page") (fun () ->
+      Hw.Phys.write8 phys ~frame:0 ~off:4096 1);
+  Alcotest.check_raises "range write past the page end"
+    (Invalid_argument "Phys: offset 4090+10 out of page") (fun () ->
+      Hw.Phys.blit_from_string phys ~frame:0 ~off:4090 (String.make 10 'x'));
+  Alcotest.check_raises "sub-range write past the page end"
+    (Invalid_argument "Phys: offset 4095+2 out of page") (fun () ->
+      Hw.Phys.blit_from_string phys ~frame:0 ~off:4095 ~pos:3 ~len:2 "abcdefgh");
+  Alcotest.check_raises "range on a bad frame" (Invalid_argument "Phys: frame 2 out of range")
+    (fun () -> Hw.Phys.read_into phys ~frame:2 ~off:0 ~len:1 dst ~pos:0);
+  Alcotest.(check bool) "no partial write" true (Hw.Phys.is_zero_frame phys ~frame:0);
+  Hw.Phys.blit_from_string phys ~frame:0 ~off:4090 ~pos:2 ~len:6 "abcdefgh";
+  Hw.Phys.read_into phys ~frame:0 ~off:4090 ~len:6 dst ~pos:5;
+  Alcotest.(check string) "a range ending at the page end fits" ".....cdefgh....."
+    (Bytes.to_string dst)
+
+(* A range write fires the write watch once per frame (re-armed by
+   [watch_frame]) and keeps the ECC shadow equal to the primary; a range
+   read corrects flips in ascending address order, like [read8] per byte. *)
+let test_phys_range_watch_ecc () =
+  let phys = Hw.Phys.create ~frames:2 () in
+  Hw.Phys.enable_ecc phys;
+  let fired = ref [] and corrected = ref [] in
+  Hw.Phys.set_write_watch phys (Some (fun f -> fired := f :: !fired));
+  Hw.Phys.set_ecc_hook phys (Some (fun a -> corrected := a :: !corrected));
+  Hw.Phys.watch_frame phys ~frame:1;
+  let payload = String.init 300 (fun i -> Char.chr ((i * 31) land 0xFF)) in
+  Hw.Phys.blit_from_string phys ~frame:1 ~off:100 ~pos:50 ~len:200 payload;
+  Alcotest.(check (list int)) "one firing for the frame" [ 1 ] !fired;
+  Hw.Phys.blit_from_string phys ~frame:1 ~off:0 payload;
+  Alcotest.(check (list int)) "flag cleared until re-armed" [ 1 ] !fired;
+  Hw.Phys.watch_frame phys ~frame:1;
+  Hw.Phys.blit_from_string phys ~frame:1 ~off:1000 payload;
+  Alcotest.(check (list int)) "fires again once re-armed" [ 1; 1 ] !fired;
+  let page = Bytes.create 4096 in
+  Hw.Phys.read_into phys ~frame:1 ~off:0 ~len:4096 page ~pos:0;
+  Alcotest.(check int) "shadow equals primary" 0 (Hw.Phys.ecc_corrections phys);
+  List.iter (fun off -> Hw.Phys.flip_bit phys ~frame:1 ~off ~bit:3) [ 1200; 1010; 1100 ];
+  let got = Bytes.create 250 in
+  Hw.Phys.read_into phys ~frame:1 ~off:1000 ~len:250 got ~pos:0;
+  Alcotest.(check string) "flips corrected on read" (String.sub payload 0 250)
+    (Bytes.to_string got);
+  Alcotest.(check int) "three corrections" 3 (Hw.Phys.ecc_corrections phys);
+  let pa off = Hw.Phys.addr phys ~frame:1 ~off in
+  Alcotest.(check (list int)) "ascending correction order"
+    [ pa 1010; pa 1100; pa 1200 ] (List.rev !corrected)
+
 (* [read32]/[write32] are single little-endian word accesses; they must
    agree byte for byte with the per-byte assembly they replaced, for any
    int (the low 32 bits are stored, the read is unsigned). *)
@@ -320,6 +381,8 @@ let suite =
     Alcotest.test_case "phys bounds checking" `Quick test_phys_bounds;
     Alcotest.test_case "phys rejects non-power-of-two pages" `Quick test_phys_page_size;
     Alcotest.test_case "phys word access matches byte assembly" `Quick test_phys_word_bytes;
+    Alcotest.test_case "phys range accessors check the whole range" `Quick test_phys_range_bounds;
+    Alcotest.test_case "phys range write watch and ECC" `Quick test_phys_range_watch_ecc;
     Alcotest.test_case "tlb insert/evict fifo" `Quick test_tlb_basics;
     Alcotest.test_case "tlb same-vpn replace" `Quick test_tlb_replace_same_vpn;
     Alcotest.test_case "tlb invalidate/flush" `Quick test_tlb_invalidate_flush;

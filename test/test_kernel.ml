@@ -310,6 +310,56 @@ let test_read_cstring () =
   Kernel.Os.copy_to_user k p addr "hello\000world";
   Alcotest.(check string) "stops at NUL" "hello" (Kernel.Os.read_cstring k p addr ~max:64)
 
+(* The preview rendering the Sebek trace has always used: clean the whole
+   buffer, then keep 40 bytes. *)
+let old_preview s =
+  let clean =
+    String.map (fun c -> if Char.code c >= 32 && Char.code c < 127 then c else '.') s
+  in
+  if String.length clean > 40 then String.sub clean 0 40 ^ "..." else clean
+
+let test_preview () =
+  List.iter
+    (fun n ->
+      let s = String.init n (fun i -> Char.chr ((i * 37) land 0xFF)) in
+      Alcotest.(check string) (Fmt.str "length %d" n) (old_preview s) (Kernel.Machine.preview s))
+    [ 0; 40; 41 ];
+  Alcotest.(check string) "empty" "" (Kernel.Machine.preview "");
+  Alcotest.(check string) "41 bytes" (String.make 40 '.' ^ "...")
+    (Kernel.Machine.preview (String.make 41 '\001'))
+
+(* Observe mode: a Sebek-tagged process gets each syscall logged with its
+   info text; an untagged process on the same machine gets nothing. *)
+let test_sebek_trace_text () =
+  let msg = "GET /\000\001\002\tindex.html HTTP/1.0\r\n\255 trailing bytes past forty" in
+  let image =
+    Kernel.Image.build ~name:"talker"
+      ~data:(fun ~lbl:_ -> [ L "msg"; Bytes msg ])
+      ~code:(fun ~lbl ->
+        (L "main" :: Guest.sys_write_imm ~buf:(lbl "msg") ~len:(String.length msg) ())
+        @ Guest.sys_exit 0)
+      ~entry:"main" ()
+  in
+  let k = Kernel.Os.create ~protection:(Split_memory.protection ()) () in
+  let observed = Kernel.Os.spawn k image in
+  let quiet = Kernel.Os.spawn k image in
+  observed.sebek_active <- true;
+  ignore (Kernel.Os.run k : Kernel.Os.stop_reason);
+  let traced pid =
+    List.filter_map
+      (function
+        | Kernel.Event_log.Syscall_traced { pid = q; name; info } when q = pid -> Some (name, info)
+        | _ -> None)
+      (Kernel.Event_log.to_list (Kernel.Os.log k))
+  in
+  Alcotest.(check bool) "message is long" true (String.length msg > 40);
+  Alcotest.(check (list (pair string string)))
+    "observed write and exit"
+    [ ("write", Fmt.str "fd=%d %S" 1 (old_preview msg)); ("exit", "0") ]
+    (traced observed.pid);
+  Alcotest.(check (list (pair string string))) "untagged process logs nothing" []
+    (traced quiet.pid)
+
 let suite =
   [
     Alcotest.test_case "exit code propagates" `Quick test_exit_code;
@@ -330,4 +380,6 @@ let suite =
     Alcotest.test_case "getpid, unknown syscall" `Quick test_getpid_and_unknown_syscall;
     Alcotest.test_case "kernel copies across pages" `Quick test_copy_user_across_pages;
     Alcotest.test_case "read_cstring stops at NUL" `Quick test_read_cstring;
+    Alcotest.test_case "preview keeps 40 cleaned bytes" `Quick test_preview;
+    Alcotest.test_case "sebek trace text only when observed" `Quick test_sebek_trace_text;
   ]

@@ -517,3 +517,240 @@ let prop_determinism =
 let suite =
   suite
   @ List.map QCheck_alcotest.to_alcotest [ prop_decoder_total; prop_determinism ]
+
+(* --- page-granular kernel copies vs the byte-at-a-time loops ------------- *)
+
+(* The loops [Machine.copy_from_user], [copy_to_user] and [read_cstring]
+   ran before they shared one page walker: a page lookup per chunk (per
+   byte for C strings) and one [Phys.read8]/[write8] per byte. *)
+module Per_byte = struct
+  module M = Kernel.Machine
+
+  let copy_from_user (t : M.t) p addr len =
+    let buf = Buffer.create len in
+    let remaining = ref len in
+    let addr = ref addr in
+    while !remaining > 0 do
+      let vpn = !addr / t.page_size in
+      let off = !addr mod t.page_size in
+      let chunk = min !remaining (t.page_size - off) in
+      let pte = M.ensure_mapped_for_kernel t p vpn ~write:false in
+      let frame = Kernel.Pte.data_frame pte in
+      for i = 0 to chunk - 1 do
+        Buffer.add_char buf (Char.chr (Hw.Phys.read8 t.phys ~frame ~off:(off + i)))
+      done;
+      remaining := !remaining - chunk;
+      addr := !addr + chunk
+    done;
+    Buffer.contents buf
+
+  let copy_to_user (t : M.t) p addr s =
+    let len = String.length s in
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let vpn = a / t.page_size in
+      let off = a mod t.page_size in
+      let chunk = min (len - !pos) (t.page_size - off) in
+      let pte = M.ensure_mapped_for_kernel t p vpn ~write:true in
+      let frame = Kernel.Pte.data_frame pte in
+      for i = 0 to chunk - 1 do
+        Hw.Phys.write8 t.phys ~frame ~off:(off + i) (Char.code s.[!pos + i])
+      done;
+      pos := !pos + chunk
+    done
+
+  let read_cstring (t : M.t) p addr ~max =
+    let buf = Buffer.create 16 in
+    let rec go i =
+      if i >= max then Buffer.contents buf
+      else
+        let vpn = (addr + i) / t.page_size in
+        let off = (addr + i) mod t.page_size in
+        let pte = M.ensure_mapped_for_kernel t p vpn ~write:false in
+        let b = Hw.Phys.read8 t.phys ~frame:(Kernel.Pte.data_frame pte) ~off in
+        if b = 0 then Buffer.contents buf
+        else begin
+          Buffer.add_char buf (Char.chr b);
+          go (i + 1)
+        end
+    in
+    go 0
+end
+
+type copy_mode = Split | Cow of { into_child : bool } | Ecc of (int * int * int) list
+
+type copy_op = Read | Write | Cstring
+
+type copy_case = {
+  mode : copy_mode;
+  tail_unmapped : bool;  (* window's last page lies past the heap region *)
+  premapped : bool list;  (* per window page: mapped before the copy *)
+  op : copy_op;
+  start : int;  (* offset of the copy into the 3-page window *)
+  len : int;
+  nul_at : int option;  (* window offset of a NUL for read_cstring *)
+}
+
+let pp_copy_case c =
+  Fmt.str "{mode=%s; tail_unmapped=%b; premapped=[%s]; op=%s; start=%d; len=%d; nul_at=%s}"
+    (match c.mode with
+    | Split -> "split"
+    | Cow { into_child } -> Fmt.str "cow(child=%b)" into_child
+    | Ecc flips ->
+      Fmt.str "ecc[%s]"
+        (String.concat ";" (List.map (fun (pg, o, b) -> Fmt.str "%d:%d:%d" pg o b) flips)))
+    c.tail_unmapped
+    (String.concat ";" (List.map string_of_bool c.premapped))
+    (match c.op with Read -> "read" | Write -> "write" | Cstring -> "cstring")
+    c.start c.len
+    (match c.nul_at with None -> "-" | Some n -> string_of_int n)
+
+let gen_copy_case =
+  let open Gen in
+  let page = 4096 in
+  let flip = triple (int_range 0 2) (int_range 0 (page - 1)) (int_range 0 7) in
+  let mode =
+    oneof
+      [
+        return Split;
+        map (fun into_child -> Cow { into_child }) bool;
+        map (fun fl -> Ecc fl) (list_size (int_range 1 24) flip);
+      ]
+  in
+  let len =
+    oneof [ return 0; int_range 1 64; int_range 1 page; int_range (2 * page) (3 * page) ]
+  in
+  mode >>= fun mode ->
+  bool >>= fun tail_unmapped ->
+  list_repeat 3 bool >>= fun premapped ->
+  oneofl [ Read; Write; Cstring ] >>= fun op ->
+  int_range 0 ((3 * page) - 1) >>= fun start ->
+  len >>= fun len ->
+  opt (oneof [ int_range 0 64; int_range 0 ((3 * page) - 1) ]) >>= fun nul_rel ->
+  let nul_at = Option.map (fun r -> (start + r) mod (3 * page)) nul_rel in
+  return { mode; tail_unmapped; premapped; op; start; len; nul_at }
+
+type copy_observation = {
+  outcome : (string, string) result;
+  frames : string list;  (* every frame, raw (flips included) *)
+  ptes : (int * int * int * bool * bool) list;  (* window PTEs of both procs *)
+  watch : int list;  (* write-watch firings, oldest first *)
+  corrections : int;
+  ecc_addrs : int list;  (* ECC hook addresses, oldest first *)
+  code_copies_kept : bool;  (* no split page's code copy changed *)
+}
+
+(* Build the case's machine, run one copy through [impl] and observe
+   everything the copy can change. *)
+let observe_copy c (impl : [ `Paged | `Per_byte ]) =
+  let module M = Kernel.Machine in
+  let page = 4096 in
+  let k =
+    Kernel.Os.create ~frames:256 ~bbcache:false ~protection:(Split_memory.protection ()) ()
+  in
+  let image =
+    Kernel.Image.build ~name:"copy"
+      ~code:(fun ~lbl:_ -> Isa.Asm.[ L "main"; I Nop ] @ Guest.sys_exit 0)
+      ~entry:"main" ()
+  in
+  let p = Kernel.Os.spawn k image in
+  let m = Kernel.Os.machine k in
+  let phys = m.phys in
+  let base =
+    if c.tail_unmapped then Kernel.Layout.heap_limit - (2 * page) else Kernel.Layout.heap_base
+  in
+  let vpn0 = base / page in
+  let in_region i = not (c.tail_unmapped && i = 2) in
+  List.iteri
+    (fun i pre ->
+      if pre && in_region i then begin
+        let pte = M.ensure_mapped_for_kernel m p (vpn0 + i) ~write:true in
+        let frame = Kernel.Pte.data_frame pte in
+        for o = 0 to page - 1 do
+          Hw.Phys.write8 phys ~frame ~off:o (1 + (((o * 7) + i) mod 255))
+        done
+      end)
+    c.premapped;
+  Option.iter
+    (fun n ->
+      match Kernel.Aspace.pte p.aspace (vpn0 + (n / page)) with
+      | Some pte -> Hw.Phys.write8 phys ~frame:(Kernel.Pte.data_frame pte) ~off:(n mod page) 0
+      | None -> ())
+    c.nul_at;
+  let target =
+    match c.mode with
+    | Cow { into_child } ->
+      let child = M.do_fork m p in
+      if into_child then Option.get (M.proc m child) else p
+    | Split | Ecc _ -> p
+  in
+  let ecc_addrs = ref [] in
+  (match c.mode with
+  | Ecc flips ->
+    Hw.Phys.enable_ecc phys;
+    Hw.Phys.set_ecc_hook phys (Some (fun a -> ecc_addrs := a :: !ecc_addrs));
+    List.iter
+      (fun (pg, off, bit) ->
+        match Kernel.Aspace.pte p.aspace (vpn0 + pg) with
+        | Some pte -> Hw.Phys.flip_bit phys ~frame:(Kernel.Pte.data_frame pte) ~off ~bit
+        | None -> ())
+      flips
+  | Split | Cow _ -> ());
+  let watch = ref [] in
+  Hw.Phys.set_write_watch phys (Some (fun f -> watch := f :: !watch));
+  for frame = 0 to Hw.Phys.frame_count phys - 1 do
+    Hw.Phys.watch_frame phys ~frame
+  done;
+  let window_ptes () =
+    List.concat_map
+      (fun (q : Kernel.Proc.t) ->
+        List.filter_map
+          (fun i ->
+            Option.map
+              (fun (pte : Kernel.Pte.t) ->
+                (q.pid, Kernel.Pte.code_frame pte, Kernel.Pte.data_frame pte, pte.cow, pte.writable))
+              (Kernel.Aspace.pte q.aspace (vpn0 + i)))
+          [ 0; 1; 2 ])
+      (M.procs m)
+  in
+  let code_before =
+    List.filter_map
+      (fun (_, code, data, _, _) ->
+        if code <> data then Some (code, Hw.Phys.to_string phys ~frame:code) else None)
+      (window_ptes ())
+  in
+  let addr = base + c.start in
+  let payload = String.init c.len (fun i -> Char.chr (((i * 13) + 5) land 0xFF)) in
+  let outcome =
+    try
+      match (c.op, impl) with
+      | Read, `Paged -> Ok (M.copy_from_user m target addr c.len)
+      | Read, `Per_byte -> Ok (Per_byte.copy_from_user m target addr c.len)
+      | Write, `Paged -> Ok (M.copy_to_user m target addr payload; "")
+      | Write, `Per_byte -> Ok (Per_byte.copy_to_user m target addr payload; "")
+      | Cstring, `Paged -> Ok (M.read_cstring m target addr ~max:c.len)
+      | Cstring, `Per_byte -> Ok (Per_byte.read_cstring m target addr ~max:c.len)
+    with e -> Error (Printexc.to_string e)
+  in
+  {
+    outcome;
+    frames = List.init (Hw.Phys.frame_count phys) (fun frame -> Hw.Phys.to_string phys ~frame);
+    ptes = window_ptes ();
+    watch = List.rev !watch;
+    corrections = Hw.Phys.ecc_corrections phys;
+    ecc_addrs = List.rev !ecc_addrs;
+    code_copies_kept =
+      List.for_all
+        (fun (frame, bytes) -> Hw.Phys.to_string phys ~frame = bytes)
+        code_before;
+  }
+
+let prop_paged_copies_match_per_byte =
+  Test.make ~name:"page-granular kernel copies match the per-byte loops" ~count:300
+    (make ~print:pp_copy_case gen_copy_case)
+    (fun c ->
+      let paged = observe_copy c `Paged and per_byte = observe_copy c `Per_byte in
+      paged.code_copies_kept && paged = per_byte)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_paged_copies_match_per_byte ]
