@@ -407,9 +407,10 @@ let snap_exp () =
   out "  checkpoint %8.3f ms/op    restore %8.3f ms/op" (t_ckpt *. 1e3) (t_rest *. 1e3);
   out "  encode     %8.1f MiB/s    decode  %8.1f MiB/s" (mib /. t_enc) (mib /. t_dec);
   (* Warm start: resuming from the checkpoint skips the instructions behind
-     it but pays a full physical-memory rebuild, so the wall-clock win only
-     materializes on long runs; the invariant that matters is that both
-     paths end on the identical final cycle count. *)
+     it, and restore touches only the frames the target had written and
+     the frames the snapshot holds (the rest stay shared zero pages); the
+     invariant that matters is that both paths end on the identical final
+     cycle count. *)
   let m = 20 in
   let cold_cycles = ref 0 and warm_cycles = ref 0 in
   let t_cold =

@@ -7,6 +7,8 @@ type t
 
 val create : ?page_size:int -> frames:int -> unit -> t
 (** Fresh physical memory of [frames] zeroed frames (default 4 KiB pages).
+    Frames are lazy: all of them share one read-only zero page until their
+    first store, so creation allocates O(frames) words, not O(frames) pages.
     @raise Invalid_argument unless [page_size] is a power of two. *)
 
 val page_size : t -> int
@@ -23,7 +25,9 @@ val read32 : t -> frame:int -> off:int -> int
 
 val write32 : t -> frame:int -> off:int -> int -> unit
 val fill : t -> frame:int -> int -> unit
-(** Fill an entire frame with one byte value. *)
+(** Fill an entire frame with one byte value. Filling a known-zero frame
+    with 0 stores nothing (but still fires the write watch); other frames
+    keep their buffer. *)
 
 val read_into : t -> frame:int -> off:int -> len:int -> Bytes.t -> pos:int -> unit
 (** [read_into t ~frame ~off ~len dst ~pos] copies [len] bytes at [off]
@@ -46,7 +50,9 @@ val copy_frame : t -> src:int -> dst:int -> unit
 (** Duplicate a frame — used when splitting a page into code/data copies. *)
 
 val is_zero_frame : t -> frame:int -> bool
-(** True when every byte of the frame is zero — lets serializers skip it. *)
+(** True when every byte of the frame is zero — lets serializers skip it.
+    Answered from a per-frame bit for frames never written or last filled
+    with 0; only other frames are scanned. *)
 
 val blit_to_bytes : t -> frame:int -> Bytes.t -> unit
 (** Copy a whole frame into the first [page_size] bytes of a caller-owned
@@ -62,11 +68,12 @@ val blit_from_bytes : t -> frame:int -> Bytes.t -> len:int -> unit
     state, and every mutation path ({!write8}, {!write32}, {!fill},
     {!blit_from_string}, {!blit_from_bytes}, and {!copy_frame}'s
     destination) that touches a flagged frame clears the flag and fires the
-    watch hook with the frame index. Unflagged frames pay one byte compare
-    per store; the hook fires once per flagged frame per dirtying burst
-    (re-flag after rebuilding). {!flip_bit} deliberately bypasses the watch
-    (it models a DRAM bit error below the write path), so derived caches
-    must not be used while ECC fault injection is enabled. *)
+    watch hook with the frame index, just before its store. Unflagged
+    frames pay one byte compare per store; the hook fires once per flagged
+    frame per dirtying burst (re-flag after rebuilding). {!flip_bit} and
+    {!ecc_shadow_write8} deliberately bypass the watch (they model DRAM bit
+    errors below the write path), so derived caches must not be used while
+    ECC fault injection is enabled. *)
 
 val set_write_watch : t -> (int -> unit) option -> unit
 val watch_frame : t -> frame:int -> unit

@@ -9,12 +9,12 @@ module W = struct
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
   (* zigzag so negative values (register contents, error returns held in
-     saved GPRs) stay within the unsigned 62-bit range of the encoding *)
+     saved GPRs) stay within the unsigned 62-bit range of the encoding; the
+     63-bit zigzag word goes out as one little-endian int64 whose bit 63 is
+     always 0 *)
   let int b v =
     let z = (v lsl 1) lxor (v asr 62) in
-    for i = 0 to 7 do
-      u8 b (z lsr (8 * i))
-    done
+    Buffer.add_int64_le b (Int64.logand (Int64.of_int z) Int64.max_int)
 
   let bool b v = u8 b (if v then 1 else 0)
 
@@ -51,12 +51,13 @@ module R = struct
     r.pos <- r.pos + 1;
     v
 
+  let remaining r = String.length r.s - r.pos
+
+  (* [Int64.to_int] drops bit 63, as the 63-bit word it was encoded from *)
   let int r =
-    let z = ref 0 in
-    for i = 0 to 7 do
-      z := !z lor (u8 r lsl (8 * i))
-    done;
-    let z = !z in
+    if remaining r < 8 then corrupt "truncated at byte %d" (String.length r.s);
+    let z = Int64.to_int (String.get_int64_le r.s r.pos) in
+    r.pos <- r.pos + 8;
     (z lsr 1) lxor (-(z land 1))
 
   let bool r =
@@ -75,14 +76,18 @@ module R = struct
 
   let opt f r = if bool r then Some (f r) else None
 
+  (* Lengths are checked against the bytes left before anything is
+     allocated: every element takes at least one byte, an int eight. *)
   let list f r =
     let n = int r in
     if n < 0 then corrupt "negative list length at byte %d" r.pos;
+    if n > remaining r then corrupt "list length %d exceeds input at byte %d" n r.pos;
     List.init n (fun _ -> f r)
 
   let int_array r =
     let n = int r in
     if n < 0 then corrupt "negative array length at byte %d" r.pos;
+    if n > remaining r / 8 then corrupt "array length %d exceeds input at byte %d" n r.pos;
     Array.init n (fun _ -> int r)
 
   let at_end r = r.pos = String.length r.s

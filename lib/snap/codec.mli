@@ -7,7 +7,9 @@
     (see {!Snapshot}) is where the real size win lives. *)
 
 exception Corrupt of string
-(** Raised by every read on truncated or malformed input. *)
+(** Raised by every read on truncated or malformed input, including a list
+    or array length larger than the bytes left could hold (checked before
+    anything is allocated). *)
 
 module W : sig
   type t

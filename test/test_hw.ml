@@ -98,6 +98,48 @@ let test_phys_range_watch_ecc () =
 (* [read32]/[write32] are single little-endian word accesses; they must
    agree byte for byte with the per-byte assembly they replaced, for any
    int (the low 32 bits are stored, the read is unsigned). *)
+(* Frames are lazy: a 64 MiB machine costs its frame table, not its
+   frames. *)
+let test_phys_create_is_lazy () =
+  let before = Gc.allocated_bytes () in
+  let phys = Hw.Phys.create ~frames:16384 () in
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) (Fmt.str "allocated %.0f bytes < 1 MB" bytes) true (bytes < 1e6);
+  Alcotest.(check bool) "all frames zero" true (Hw.Phys.is_zero_frame phys ~frame:16383)
+
+(* An injected flip into a never-written frame gives that frame its own
+   buffer without firing the write watch, leaves every other frame
+   reading zero, and is captured by a checkpoint like any written frame. *)
+let test_phys_flip_untouched_frame () =
+  let phys = Hw.Phys.create ~frames:4 () in
+  let fired = ref [] in
+  Hw.Phys.set_write_watch phys (Some (fun f -> fired := f :: !fired));
+  Hw.Phys.watch_frame phys ~frame:2;
+  Hw.Phys.flip_bit phys ~frame:2 ~off:7 ~bit:5;
+  Alcotest.(check (list int)) "no watch" [] !fired;
+  Alcotest.(check bool) "no longer zero" false (Hw.Phys.is_zero_frame phys ~frame:2);
+  Alcotest.(check int) "flipped" 0x20 (Hw.Phys.read8 phys ~frame:2 ~off:7);
+  List.iter
+    (fun frame ->
+      Alcotest.(check bool) (Fmt.str "frame %d zero" frame) true
+        (Hw.Phys.is_zero_frame phys ~frame
+        && Hw.Phys.to_string phys ~frame = String.make 4096 '\000'))
+    [ 0; 1; 3 ];
+  Hw.Phys.write8 phys ~frame:2 ~off:0 1;
+  Alcotest.(check (list int)) "watch still armed" [ 2 ] !fired;
+  let os = Kernel.Os.create ~protection:Kernel.Protection.none () in
+  let m = Kernel.Os.phys os in
+  let frame = Hw.Phys.frame_count m - 1 in
+  Alcotest.(check bool) "last frame untouched" true (Hw.Phys.is_zero_frame m ~frame);
+  let written () = Snap.Snapshot.frames_written (Snap.Snapshot.checkpoint os) in
+  let n = written () in
+  Hw.Phys.flip_bit m ~frame ~off:100 ~bit:0;
+  let snap = Snap.Snapshot.checkpoint os in
+  Alcotest.(check int) "one more frame captured" (n + 1) (Snap.Snapshot.frames_written snap);
+  let os2 = Kernel.Os.create ~protection:Kernel.Protection.none () in
+  Snap.Snapshot.restore os2 (Snap.Snapshot.decode (Snap.Snapshot.encode snap));
+  Alcotest.(check int) "restored flip" 1 (Hw.Phys.read8 (Kernel.Os.phys os2) ~frame ~off:100)
+
 let test_phys_word_bytes () =
   let phys = Hw.Phys.create ~page_size:4096 ~frames:2 () in
   let byte off = Hw.Phys.read8 phys ~frame:1 ~off in
@@ -383,6 +425,8 @@ let suite =
     Alcotest.test_case "phys word access matches byte assembly" `Quick test_phys_word_bytes;
     Alcotest.test_case "phys range accessors check the whole range" `Quick test_phys_range_bounds;
     Alcotest.test_case "phys range write watch and ECC" `Quick test_phys_range_watch_ecc;
+    Alcotest.test_case "phys create allocates no frames" `Quick test_phys_create_is_lazy;
+    Alcotest.test_case "phys flip into an untouched frame" `Quick test_phys_flip_untouched_frame;
     Alcotest.test_case "tlb insert/evict fifo" `Quick test_tlb_basics;
     Alcotest.test_case "tlb same-vpn replace" `Quick test_tlb_replace_same_vpn;
     Alcotest.test_case "tlb invalidate/flush" `Quick test_tlb_invalidate_flush;

@@ -754,3 +754,207 @@ let prop_paged_copies_match_per_byte =
       paged.code_copies_kept && paged = per_byte)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_paged_copies_match_per_byte ]
+
+(* --- lazy physical memory vs an eager reference -------------------------- *)
+
+(* [Phys] as it was before frames became lazy: a private buffer per frame
+   from the start, a watched flag per frame, an ECC shadow copied whole
+   from the primaries, and the watch fired by every mutation of a watched
+   frame except the two fault-injection backdoors. *)
+module Eager_phys = struct
+  type t = {
+    frames : Bytes.t array;
+    watched : bool array;
+    mutable shadow : Bytes.t array option;
+    mutable corrections : int;
+    mutable events : [ `Watch of int | `Ecc of int ] list;  (* newest first *)
+  }
+
+  let page = 64
+
+  let create n =
+    {
+      frames = Array.init n (fun _ -> Bytes.make page '\000');
+      watched = Array.make n false;
+      shadow = None;
+      corrections = 0;
+      events = [];
+    }
+
+  let note_write t f =
+    if t.watched.(f) then begin
+      t.watched.(f) <- false;
+      t.events <- `Watch f :: t.events
+    end
+
+  (* a store of [s] at [off]: primary, then the shadow *)
+  let store t f off s =
+    note_write t f;
+    Bytes.blit_string s 0 t.frames.(f) off (String.length s);
+    Option.iter (fun sh -> Bytes.blit_string s 0 sh.(f) off (String.length s)) t.shadow
+
+  let read t f off len =
+    Option.iter
+      (fun sh ->
+        for i = off to off + len - 1 do
+          let good = Bytes.get sh.(f) i in
+          if Bytes.get t.frames.(f) i <> good then begin
+            Bytes.set t.frames.(f) i good;
+            t.corrections <- t.corrections + 1;
+            t.events <- `Ecc ((f * page) + i) :: t.events
+          end
+        done)
+      t.shadow;
+    Bytes.sub_string t.frames.(f) off len
+
+  let copy t ~src ~dst =
+    note_write t dst;
+    Bytes.blit t.frames.(src) 0 t.frames.(dst) 0 page;
+    Option.iter (fun sh -> Bytes.blit sh.(src) 0 sh.(dst) 0 page) t.shadow
+end
+
+type phys_op =
+  | P_write8 of int * int * int
+  | P_write32 of int * int * int
+  | P_fill of int * int
+  | P_blit_string of int * int * string
+  | P_blit_bytes of int * string
+  | P_copy of int * int
+  | P_watch of int
+  | P_flip of int * int * int
+  | P_enable_ecc
+  | P_shadow_write8 of int * int * int
+  | P_read8 of int * int
+  | P_read_into of int * int * int
+
+let show_phys_op = function
+  | P_write8 (f, o, v) -> Fmt.str "write8 %d+%d=%d" f o v
+  | P_write32 (f, o, v) -> Fmt.str "write32 %d+%d=%#x" f o v
+  | P_fill (f, v) -> Fmt.str "fill %d %d" f v
+  | P_blit_string (f, o, s) -> Fmt.str "blit_string %d+%d %S" f o s
+  | P_blit_bytes (f, s) -> Fmt.str "blit_bytes %d %S" f s
+  | P_copy (s, d) -> Fmt.str "copy %d->%d" s d
+  | P_watch f -> Fmt.str "watch %d" f
+  | P_flip (f, o, b) -> Fmt.str "flip %d+%d bit %d" f o b
+  | P_enable_ecc -> "enable_ecc"
+  | P_shadow_write8 (f, o, v) -> Fmt.str "shadow_write8 %d+%d=%d" f o v
+  | P_read8 (f, o) -> Fmt.str "read8 %d+%d" f o
+  | P_read_into (f, o, n) -> Fmt.str "read_into %d+%d len %d" f o n
+
+let phys_frames = 4
+
+let gen_phys_op =
+  let page = Eager_phys.page in
+  Gen.(
+    let frame = int_bound (phys_frames - 1) in
+    let off = int_bound (page - 1) in
+    (* zero bytes often, so stores of zeros into zero frames happen *)
+    let byte = frequency [ (1, return 0); (2, int_bound 255) ] in
+    let range = off >>= fun o -> map (fun n -> (o, n)) (int_bound (page - o)) in
+    let payload n = string_size ~gen:(oneofl [ '\000'; 'a'; '\255' ]) (return n) in
+    frequency
+      [
+        (4, map3 (fun f o v -> P_write8 (f, o, v)) frame off byte);
+        ( 2,
+          map3
+            (fun f o v -> P_write32 (f, o, v))
+            frame (int_bound (page - 4))
+            (oneof [ return 0; int_bound 0xFFFF_FFFF ]) );
+        (2, map2 (fun f v -> P_fill (f, v)) frame byte);
+        ( 2,
+          frame >>= fun f ->
+          range >>= fun (o, n) -> map (fun s -> P_blit_string (f, o, s)) (payload n) );
+        ( 1,
+          frame >>= fun f ->
+          int_bound page >>= fun n -> map (fun s -> P_blit_bytes (f, s)) (payload n) );
+        (2, map2 (fun s d -> P_copy (s, d)) frame frame);
+        (3, map (fun f -> P_watch f) frame);
+        (2, map3 (fun f o b -> P_flip (f, o, b)) frame off (int_bound 7));
+        (1, return P_enable_ecc);
+        (1, map3 (fun f o v -> P_shadow_write8 (f, o, v)) frame off byte);
+        (3, map2 (fun f o -> P_read8 (f, o)) frame off);
+        (2, frame >>= fun f -> map (fun (o, n) -> P_read_into (f, o, n)) range);
+      ])
+
+let prop_lazy_phys_matches_eager =
+  Test.make ~name:"lazy physical memory matches an eager reference" ~count:1000
+    (make
+       ~print:(fun ops -> String.concat "; " (List.map show_phys_op ops))
+       Gen.(list_size (int_range 1 60) gen_phys_op))
+    (fun ops ->
+      let page = Eager_phys.page in
+      let phys = Hw.Phys.create ~page_size:page ~frames:phys_frames () in
+      let model = Eager_phys.create phys_frames in
+      let events = ref [] in
+      Hw.Phys.set_write_watch phys (Some (fun f -> events := `Watch f :: !events));
+      let step op =
+        match op with
+        | P_write8 (f, o, v) ->
+          Hw.Phys.write8 phys ~frame:f ~off:o v;
+          Eager_phys.store model f o (String.make 1 (Char.chr v));
+          true
+        | P_write32 (f, o, v) ->
+          Hw.Phys.write32 phys ~frame:f ~off:o v;
+          let b = Bytes.create 4 in
+          Bytes.set_int32_le b 0 (Int32.of_int v);
+          Eager_phys.store model f o (Bytes.to_string b);
+          true
+        | P_fill (f, v) ->
+          Hw.Phys.fill phys ~frame:f v;
+          Eager_phys.store model f 0 (String.make page (Char.chr v));
+          true
+        | P_blit_string (f, o, s) ->
+          Hw.Phys.blit_from_string phys ~frame:f ~off:o s;
+          Eager_phys.store model f o s;
+          true
+        | P_blit_bytes (f, s) ->
+          let src = Bytes.of_string (s ^ "tail") in
+          Hw.Phys.blit_from_bytes phys ~frame:f src ~len:(String.length s);
+          Eager_phys.store model f 0 s;
+          true
+        | P_copy (src, dst) ->
+          Hw.Phys.copy_frame phys ~src ~dst;
+          Eager_phys.copy model ~src ~dst;
+          true
+        | P_watch f ->
+          Hw.Phys.watch_frame phys ~frame:f;
+          model.watched.(f) <- true;
+          true
+        | P_flip (f, o, b) ->
+          Hw.Phys.flip_bit phys ~frame:f ~off:o ~bit:b;
+          let p = model.frames.(f) in
+          Bytes.set p o (Char.chr (Char.code (Bytes.get p o) lxor (1 lsl b)));
+          true
+        | P_enable_ecc ->
+          Hw.Phys.enable_ecc phys;
+          Hw.Phys.set_ecc_hook phys (Some (fun a -> events := `Ecc a :: !events));
+          model.shadow <- Some (Array.map Bytes.copy model.frames);
+          model.corrections <- 0;
+          true
+        | P_shadow_write8 (f, o, v) ->
+          Hw.Phys.ecc_shadow_write8 phys ~frame:f ~off:o v;
+          Option.iter (fun sh -> Bytes.set sh.(f) o (Char.chr v)) model.shadow;
+          true
+        | P_read8 (f, o) ->
+          Hw.Phys.read8 phys ~frame:f ~off:o = Char.code (Eager_phys.read model f o 1).[0]
+        | P_read_into (f, o, n) ->
+          let dst = Bytes.make (n + 2) '?' in
+          Hw.Phys.read_into phys ~frame:f ~off:o ~len:n dst ~pos:1;
+          Bytes.sub_string dst 1 n = Eager_phys.read model f o n
+      in
+      let agrees () =
+        !events = model.events
+        && Hw.Phys.ecc_corrections phys = model.corrections
+        && List.for_all
+             (fun f ->
+               let bytes = Hw.Phys.to_string phys ~frame:f in
+               let zero = Hw.Phys.is_zero_frame phys ~frame:f in
+               bytes = Bytes.to_string model.frames.(f)
+               && zero = Bytes.for_all (( = ) '\000') model.frames.(f)
+               (* a store that leaked into a shared zero page shows here *)
+               && ((not zero) || bytes = String.make page '\000'))
+             (List.init phys_frames Fun.id)
+      in
+      List.for_all (fun op -> step op && agrees ()) ops)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_lazy_phys_matches_eager ]

@@ -65,6 +65,104 @@ let test_codec_corrupt () =
   | exception Snap.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated snapshot accepted"
 
+(* The integer codec as it was written byte by byte: the word-at-a-time
+   [W.int]/[R.int] must produce and accept exactly these bytes. *)
+module Per_byte_int = struct
+  let encode v =
+    let z = (v lsl 1) lxor (v asr 62) in
+    String.init 8 (fun i -> Char.chr ((z lsr (8 * i)) land 0xFF))
+
+  let decode s =
+    let z = ref 0 in
+    for i = 0 to 7 do
+      z := !z lor (Char.code s.[i] lsl (8 * i))
+    done;
+    let z = !z in
+    (z lsr 1) lxor (-(z land 1))
+end
+
+let prop_codec_int_matches_per_byte =
+  let edges =
+    [ 0; 1; -1; min_int; max_int; 1 lsl 61; -(1 lsl 61); (1 lsl 61) - 1; 1 - (1 lsl 61) ]
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (frequency [ (1, oneofl edges); (3, int); (1, map (fun k -> 1 lsl k) (int_range 0 62)) ])
+        (string_size (return 8)))
+  in
+  QCheck.Test.make ~name:"codec ints match the per-byte encoding" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair int string) gen)
+    (fun (v, word) ->
+      let module W = Snap.Codec.W in
+      let module R = Snap.Codec.R in
+      let b = W.create () in
+      W.int b v;
+      let bytes = W.contents b in
+      String.equal bytes (Per_byte_int.encode v)
+      && R.int (R.of_string bytes) = Per_byte_int.decode bytes
+      (* any 8 bytes, bit 63 included, decode as before *)
+      && R.int (R.of_string word) = Per_byte_int.decode word)
+
+let test_codec_edge_ints () =
+  List.iter
+    (fun v ->
+      let b = Snap.Codec.W.create () in
+      Snap.Codec.W.int b v;
+      Alcotest.(check string)
+        (Fmt.str "bytes of %d" v) (Per_byte_int.encode v) (Snap.Codec.W.contents b))
+    [ min_int; max_int; 1 lsl 61; -(1 lsl 61) ];
+  Alcotest.check_raises "short read" (Snap.Codec.Corrupt "truncated at byte 5") (fun () ->
+      ignore (Snap.Codec.R.int (Snap.Codec.R.of_string "\001\000\000\000\000")))
+
+let corrupt_or_fail what f =
+  match f () with
+  | exception Snap.Codec.Corrupt _ -> ()
+  | exception e -> Alcotest.failf "%s: untyped failure %s" what (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: accepted" what
+
+(* A length field claiming more elements than the bytes left could hold is
+   rejected before anything is allocated. The offsets follow the section
+   order of [Snapshot.encode]: header, cost counters, the frame list, the
+   skipped count, the allocator's free list, then its refcount array. *)
+let test_codec_huge_lengths () =
+  let module W = Snap.Codec.W in
+  let module R = Snap.Codec.R in
+  let s = scenario "benign" in
+  let os = s.start () in
+  ignore (Kernel.Os.run ~fuel:1500 os);
+  let snap = Snap.Snapshot.checkpoint os in
+  let good = Snap.Snapshot.encode snap in
+  let int_at off = R.int (R.of_string (String.sub good off 8)) in
+  let patch off v =
+    let b = W.create () in
+    W.int b v;
+    let w = W.contents b in
+    String.sub good 0 off ^ w ^ String.sub good (off + 8) (String.length good - off - 8)
+  in
+  let frames_len =
+    String.length Snap.Snapshot.magic + (8 * 4)
+    + String.length (Snap.Snapshot.protection_name snap)
+    + 8 + (8 * 7)
+  in
+  let written = Snap.Snapshot.frames_written snap in
+  Alcotest.(check int) "frame list length" written (int_at frames_len);
+  let free_len = frames_len + 8 + (written * (16 + Snap.Snapshot.page_size snap)) + 8 in
+  let refcount_len = free_len + 8 + (8 * int_at free_len) in
+  Alcotest.(check int) "refcount length" (Snap.Snapshot.frame_count snap) (int_at refcount_len);
+  List.iter
+    (fun (what, off) ->
+      List.iter
+        (fun n ->
+          corrupt_or_fail (Fmt.str "%s = %d" what n) (fun () ->
+              Snap.Snapshot.decode (patch off n)))
+        [ String.length good; 1 lsl 40; max_int / 2 ])
+    [ ("frame list length", frames_len); ("refcount length", refcount_len) ];
+  let b = W.create () in
+  W.int b 2;
+  W.int b 7;
+  corrupt_or_fail "array of 2 ints in 8 bytes" (fun () -> R.int_array (R.of_string (W.contents b)))
+
 (* --- Round-trip replay across scenarios ---------------------------------- *)
 
 (* The ISSUE acceptance criterion: restore (checkpoint m) must produce an
@@ -95,6 +193,26 @@ let test_restore_into_fresh_machine () =
   ignore (run_to_end os2);
   Alcotest.(check (list string)) "event logs match" (snd ref_final) (snd (final_state os2));
   Alcotest.(check bool) "final state matches" true (final_state os2 = ref_final)
+
+(* Restoring over a machine that already ran a different history must
+   leave nothing of it behind: every frame it dirtied reads back as the
+   snapshot says, so a fresh checkpoint re-encodes to the same bytes and
+   the continuation matches the reference run. *)
+let test_restore_into_used_machine () =
+  let os1 = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:1500 os1);
+  let blob = Snap.Snapshot.encode (Snap.Snapshot.checkpoint os1) in
+  ignore (run_to_end os1);
+  let ref_final = final_state os1 in
+  let used = (scenario "attack-break").start () in
+  ignore (run_to_end used);
+  Snap.Snapshot.restore used (Snap.Snapshot.decode blob);
+  Alcotest.(check bool)
+    "re-checkpoint is byte-identical" true
+    (String.equal blob (Snap.Snapshot.encode (Snap.Snapshot.checkpoint used)));
+  ignore (run_to_end used);
+  Alcotest.(check (list string)) "event logs match" (snd ref_final) (snd (final_state used));
+  Alcotest.(check bool) "final state matches" true (final_state used = ref_final)
 
 (* Canonical serialization: checkpointing a restored machine re-encodes to
    the exact same bytes — there is no hidden state the format misses. *)
@@ -369,6 +487,9 @@ let suite =
   [
     Alcotest.test_case "codec round trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec rejects corrupt input" `Quick test_codec_corrupt;
+    QCheck_alcotest.to_alcotest prop_codec_int_matches_per_byte;
+    Alcotest.test_case "codec edge ints and short read" `Quick test_codec_edge_ints;
+    Alcotest.test_case "codec rejects huge lengths" `Quick test_codec_huge_lengths;
     Alcotest.test_case "round trip: benign" `Quick (test_roundtrip "benign");
     Alcotest.test_case "round trip: attack-break" `Quick (test_roundtrip "attack-break");
     Alcotest.test_case "round trip: attack-forensics" `Quick
@@ -376,6 +497,7 @@ let suite =
     Alcotest.test_case "round trip: attack-observe" `Quick
       (test_roundtrip "attack-observe");
     Alcotest.test_case "restore into fresh machine" `Quick test_restore_into_fresh_machine;
+    Alcotest.test_case "restore into used machine" `Quick test_restore_into_used_machine;
     Alcotest.test_case "canonical re-encode" `Quick test_canonical_reencode;
     Alcotest.test_case "determinism: benign" `Quick (test_run_to_run_determinism "benign");
     Alcotest.test_case "determinism: attack-observe" `Quick
