@@ -201,6 +201,26 @@ let is_zero_frame t ~frame =
   let rec go_bytes i = i >= n || (Bytes.unsafe_get b i = '\000' && go_bytes (i + 1)) in
   go_words 0 && go_bytes words
 
+(* Eight flag bytes per step: a run of frames that all fail the
+   selection costs one 64-bit load and compare, so a scan over mostly
+   untouched memory is O(frames / 8 + frames selected). [f] may change
+   the flags of the frame it is given. *)
+let iter_frames t ~mask ~skip f =
+  let n = Bytes.length t.flags in
+  let bytes8 b = Int64.mul (Int64.of_int b) 0x0101010101010101L in
+  let mask8 = bytes8 mask and skip8 = bytes8 skip in
+  let visit lo hi =
+    for frame = lo to hi - 1 do
+      if flag t frame land mask <> skip then f frame
+    done
+  in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    if Int64.logand (Bytes.get_int64_le t.flags !i) mask8 <> skip8 then visit !i (!i + 8);
+    i := !i + 8
+  done;
+  visit !i n
+
 let blit_to_bytes t ~frame dst =
   check t frame 0 t.page_size;
   if Bytes.length dst < t.page_size then invalid_arg "Phys.blit_to_bytes: dst too small";

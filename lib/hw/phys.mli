@@ -54,6 +54,21 @@ val is_zero_frame : t -> frame:int -> bool
     Answered from a per-frame bit for frames never written or last filled
     with 0; only other frames are scanned. *)
 
+val zero_bit : int
+(** Flag bit: the frame is known all-zero (it may still share the zero
+    page). Cleared by the first store, set again by [fill 0]. *)
+
+val watched_bit : int
+(** Flag bit: the frame backs derived state (see {!watch_frame}). *)
+
+val iter_frames : t -> mask:int -> skip:int -> (int -> unit) -> unit
+(** [iter_frames t ~mask ~skip f] calls [f frame], in ascending order, on
+    every frame whose flag byte [land mask] differs from [skip]. It tests
+    eight flag bytes per step, so it costs O(frames / 8 + frames
+    selected). With [~mask:zero_bit ~skip:zero_bit] it visits the frames
+    that may hold data; with [~mask:0xFF ~skip:zero_bit] also the known-zero
+    frames that are watched. [f] may mutate the frame it is given. *)
+
 val blit_to_bytes : t -> frame:int -> Bytes.t -> unit
 (** Copy a whole frame into the first [page_size] bytes of a caller-owned
     buffer, avoiding the per-call allocation of {!to_string}. *)

@@ -23,7 +23,7 @@ let item_size ~at = function
     let r = at mod a in
     if r = 0 then 0 else a - r
 
-let layout ~origin items =
+let layout ?(origin = 0) items =
   let labels = Hashtbl.create 16 in
   let addr = ref origin in
   let place item =
@@ -35,7 +35,7 @@ let layout ~origin items =
     addr := !addr + item_size ~at:!addr item
   in
   List.iter place items;
-  labels
+  (labels, !addr - origin)
 
 let resolve_target labels ~next = function
   | Insn.Rel _ as t -> t
@@ -63,7 +63,7 @@ let resolve labels ~addr insn =
 type assembled = { code : string; labels : (string, int) Hashtbl.t; origin : int }
 
 let assemble ?(origin = 0) items =
-  let labels = layout ~origin items in
+  let labels, _ = layout ~origin items in
   let buf = Buffer.create 256 in
   let addr = ref origin in
   let emit item =

@@ -25,6 +25,11 @@ type assembled = {
   origin : int;  (** load address of the first byte *)
 }
 
+val layout : ?origin:int -> program -> (string, int) Hashtbl.t * int
+(** The first pass alone: the label map and the size in bytes that
+    {!assemble} would produce, without encoding anything.
+    @raise Duplicate_label if a label is defined twice. *)
+
 val assemble : ?origin:int -> program -> assembled
 (** Assemble a program laid out starting at [origin] (default 0).
     @raise Duplicate_label if a label is defined twice.

@@ -48,6 +48,23 @@ let set_bit t f = t.bits.(f / bits_per_word) <- t.bits.(f / bits_per_word) lor (
 let clear_bit t f =
   t.bits.(f / bits_per_word) <- t.bits.(f / bits_per_word) land lnot (1 lsl (f mod bits_per_word))
 
+(* The bits of word [w] that stand for allocatable frames: those in
+   [1, nframes). Frame 0 is reserved as a never-allocated null frame. *)
+let frame_bits t w =
+  let lo = w * bits_per_word in
+  let n = min bits_per_word (t.nframes - lo) in
+  if n <= 0 then 0
+  else
+    let ones = (1 lsl n) - 1 in
+    if w = 0 then ones land lnot 1 else ones
+
+(* Every allocatable frame free, one word store at a time. *)
+let set_all_free t =
+  for w = 0 to Array.length t.bits - 1 do
+    t.bits.(w) <- frame_bits t w
+  done;
+  t.free_count <- max 0 (t.nframes - 1)
+
 let create phys =
   let n = Hw.Phys.frame_count phys in
   let nwords = ((n + bits_per_word - 1) / bits_per_word) + 1 in
@@ -67,11 +84,7 @@ let create phys =
       shared = Hashtbl.create 64;
     }
   in
-  (* Frame 0 is reserved as a never-allocated null frame. *)
-  for frame = 1 to n - 1 do
-    set_bit t frame
-  done;
-  t.free_count <- max 0 (n - 1);
+  set_all_free t;
   t
 
 let in_use t = t.in_use
@@ -175,40 +188,54 @@ let unshare t frame =
       frame
     end
 
+(* Only the allocated frames are serialized. The free set is exactly the
+   frames >= 1 with refcount 0: [take] sets refcount 1 as it clears a
+   frame's bit, [decref] sets the bit as the refcount reaches 0, and
+   nothing else moves a refcount across 0. So the allocated frames with
+   their refcounts determine the bitmap, and a snapshot costs
+   O(allocated frames), not O(frames). *)
 type state = {
-  s_free : int list;  (* free frames, ascending *)
-  s_refcount : int array;
+  s_used : (int * int) list;  (* (frame, refcount >= 1), ascending frame *)
   s_in_use : int;
   s_peak_in_use : int;
 }
 
+(* The allocated frames of a word are its clear frame bits. Words go from
+   the top down; each word's frames are consed lowest first and then
+   reversed onto the front of the higher words' list, so the result
+   ascends. *)
 let export t =
-  let free = ref [] in
-  for f = t.nframes - 1 downto 1 do
-    if t.bits.(f / bits_per_word) land (1 lsl (f mod bits_per_word)) <> 0 then
-      free := f :: !free
+  let used = ref [] in
+  for w = Array.length t.bits - 1 downto 0 do
+    let word = ref (frame_bits t w land lnot t.bits.(w)) and chunk = ref [] in
+    while !word <> 0 do
+      let f = (w * bits_per_word) + ctz !word in
+      chunk := (f, t.refcount.(f)) :: !chunk;
+      word := !word land (!word - 1)
+    done;
+    used := List.rev_append !chunk !used
   done;
-  {
-    s_free = !free;
-    s_refcount = Array.copy t.refcount;
-    s_in_use = t.in_use;
-    s_peak_in_use = t.peak_in_use;
-  }
+  { s_used = !used; s_in_use = t.in_use; s_peak_in_use = t.peak_in_use }
 
 let import t (s : state) =
-  if Array.length s.s_refcount <> Array.length t.refcount then
-    invalid_arg "Frame_alloc.import: frame count mismatch";
-  (* The free set is order-insensitive here: selection is lowest-first, so
-     the bitmap re-derived from any permutation of [s_free] resumes the
-     exact allocation sequence. *)
+  (* The free set is the complement of [s_used]: selection is lowest-
+     first, so the rebuilt bitmap resumes the exact allocation sequence. *)
   Hashtbl.reset t.shares;
   Hashtbl.reset t.shared;
-  Array.fill t.bits 0 (Array.length t.bits) 0;
-  List.iter (fun f -> set_bit t f) s.s_free;
-  t.free_count <- List.length s.s_free;
+  set_all_free t;
+  Array.fill t.refcount 0 t.nframes 0;
+  List.iter
+    (fun (f, rc) ->
+      if f < 1 || f >= t.nframes then
+        invalid_arg (Fmt.str "Frame_alloc.import: frame %d out of range" f);
+      if rc <= 0 || t.refcount.(f) <> 0 then
+        invalid_arg (Fmt.str "Frame_alloc.import: bad entry for frame %d" f);
+      clear_bit t f;
+      t.refcount.(f) <- rc;
+      t.free_count <- t.free_count - 1)
+    s.s_used;
   t.hint_word <- 0;
   t.pair_hint_word <- 0;
-  Array.blit s.s_refcount 0 t.refcount 0 (Array.length t.refcount);
   t.in_use <- s.s_in_use;
   t.peak_in_use <- s.s_peak_in_use
 

@@ -52,38 +52,40 @@ let specials =
     ("initial_esp", Layout.initial_esp);
   ]
 
-(* Two-pass fixpoint over all segments. Instruction and data sizes do not
-   depend on immediate values, so assembling once with every unknown label
-   resolved to 0 yields the final layout; the second pass re-assembles with
-   the real addresses and must produce identically sized segments. *)
+(* Two passes over all segments. Instruction and data sizes do not
+   depend on immediate values, so laying the programs out with every
+   unknown label resolved to 0 yields the final addresses; the second pass
+   assembles with the real addresses and must produce exactly the laid-out
+   sizes. *)
 let build ~name ?(rodata = []) ?(lib = []) ?(bss_size = 0) ?(data = no_program)
     ?(mixed = no_program) ~code ~entry () =
-  let assemble_all resolver =
+  let programs resolver =
     [
-      (Isa.Asm.assemble ~origin:Layout.code_base (code ~lbl:resolver), Code, false);
-      (Isa.Asm.assemble ~origin:Layout.rodata_base rodata, Rodata, false);
-      (Isa.Asm.assemble ~origin:Layout.lib_base lib, Lib, false);
-      (Isa.Asm.assemble ~origin:Layout.data_base (data ~lbl:resolver), Data, true);
-      (Isa.Asm.assemble ~origin:Layout.mixed_base (mixed ~lbl:resolver), Mixed, true);
+      (Layout.code_base, code ~lbl:resolver, Code, false);
+      (Layout.rodata_base, rodata, Rodata, false);
+      (Layout.lib_base, lib, Lib, false);
+      (Layout.data_base, data ~lbl:resolver, Data, true);
+      (Layout.mixed_base, mixed ~lbl:resolver, Mixed, true);
     ]
   in
-  let resolver_of assembled fallback name =
+  let pass1 =
+    List.map (fun (origin, prog, _, _) -> Isa.Asm.layout ~origin prog) (programs (fun _ -> 0))
+  in
+  let resolve name =
     match List.assoc_opt name specials with
     | Some a -> a
     | None -> (
-      let found =
-        List.find_map
-          (fun ((a : Isa.Asm.assembled), _, _) -> Hashtbl.find_opt a.labels name)
-          assembled
-      in
-      match found with Some a -> a | None -> fallback name)
+      match List.find_map (fun (labels, _) -> Hashtbl.find_opt labels name) pass1 with
+      | Some a -> a
+      | None -> raise (Unknown_label name))
   in
-  let pass1 = assemble_all (fun _ -> 0) in
-  let resolve = resolver_of pass1 (fun l -> raise (Unknown_label l)) in
-  let pass2 = assemble_all resolve in
+  let pass2 =
+    List.map
+      (fun (origin, prog, kind, writable) -> (Isa.Asm.assemble ~origin prog, kind, writable))
+      (programs resolve)
+  in
   List.iter2
-    (fun (a1, _, _) (a2, _, _) ->
-      assert (String.length a1.Isa.Asm.code = String.length a2.Isa.Asm.code))
+    (fun (_, size) ((a : Isa.Asm.assembled), _, _) -> assert (String.length a.code = size))
     pass1 pass2;
   let segments =
     List.filter_map

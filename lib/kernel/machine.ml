@@ -826,32 +826,45 @@ let replace_procs t ps =
    privatized before the snapshot.) *)
 let rebuild_shares t =
   if t.share_images then begin
+    (* One share key per distinct segment: a restore gives every region of
+       one segment the same bytes string, so a key is computed once and
+       found again by physical equality, not re-hashed per process. *)
+    let keys : (int * int, (string * string) list) Hashtbl.t = Hashtbl.create 16 in
+    let key_of ~base ~bytes =
+      let k = (base, String.length bytes) in
+      let bucket = Option.value (Hashtbl.find_opt keys k) ~default:[] in
+      match List.find_opt (fun (b, _) -> b == bytes) bucket with
+      | Some (_, key) -> key
+      | None ->
+        let key = share_key ~base ~bytes in
+        Hashtbl.replace keys k ((bytes, key) :: bucket);
+        key
+    in
     (* The shared frame of a key is held as [pte.frame] by unsplit sharers
        and lives on as the split structure's code frame after a page
        splits, so collect code-frame votes across every holder and
        register the majority frame (ties break to the lowest frame — only
        reachable when a Forensics privatization left a lone dissenting
        copy, where either pick keeps replay deterministic). *)
-    let votes : (string, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+    let votes : (string * int, (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun (p : Proc.t) ->
         List.iter
           (fun (r : Aspace.region) ->
             match r.source with
             | Aspace.Image_bytes { base; bytes } when not r.writable ->
-              let key = share_key ~base ~bytes in
+              let key = key_of ~base ~bytes in
               r.share <- Some key;
               for vpn = r.lo to r.hi - 1 do
                 match Aspace.pte p.aspace vpn with
                 | Some pte ->
                   let frame = Pte.code_frame pte in
-                  let k = key ^ "/" ^ string_of_int vpn in
                   let tbl =
-                    match Hashtbl.find_opt votes k with
+                    match Hashtbl.find_opt votes (key, vpn) with
                     | Some tbl -> tbl
                     | None ->
                       let tbl = Hashtbl.create 4 in
-                      Hashtbl.replace votes k tbl;
+                      Hashtbl.replace votes (key, vpn) tbl;
                       tbl
                   in
                   Hashtbl.replace tbl frame
@@ -862,13 +875,13 @@ let rebuild_shares t =
           (Aspace.regions p.aspace))
       (procs t);
     Hashtbl.iter
-      (fun k tbl ->
+      (fun (key, vpn) tbl ->
         let frame, _ =
           Hashtbl.fold
             (fun f n (bf, bn) ->
               if n > bn || (n = bn && f < bf) then (f, n) else (bf, bn))
             tbl (max_int, 0)
         in
-        Frame_alloc.register_share t.alloc ~key:k ~frame)
+        Frame_alloc.register_share t.alloc ~key:(key ^ "/" ^ string_of_int vpn) ~frame)
       votes
   end

@@ -1,4 +1,5 @@
 type t = {
+  uid : int;
   name : string;
   capacity : int;
   buf : Buffer.t;
@@ -18,8 +19,13 @@ type t = {
   mutable wakeup : int -> unit;
 }
 
+(* Process-wide and atomic: machines in different domains create pipes
+   concurrently. *)
+let next_uid = Atomic.make 0
+
 let create ?(capacity = 65536) ~name () =
   {
+    uid = Atomic.fetch_and_add next_uid 1;
     name;
     capacity;
     buf = Buffer.create 256;
@@ -32,6 +38,7 @@ let create ?(capacity = 65536) ~name () =
     wakeup = ignore;
   }
 
+let uid t = t.uid
 let name t = t.name
 let level t = Buffer.length t.buf - t.read_pos
 let is_empty t = level t = 0

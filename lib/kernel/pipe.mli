@@ -4,6 +4,12 @@
 type t
 
 val create : ?capacity:int -> name:string -> unit -> t
+val uid : t -> int
+(** Identity of this pipe object, unique within the process: two handles
+    have the same uid iff they are the same pipe. Not machine state (a
+    restore builds pipes with fresh uids); serializers key on it to number
+    shared pipes in O(1) per lookup. *)
+
 val name : t -> string
 val level : t -> int
 (** Bytes currently buffered. *)

@@ -56,13 +56,17 @@ type t = {
          a field write, not a closure allocation. *)
 }
 
+(* A power of two, so the ring index wraps with a mask. Every [trace] has
+   exactly this length; snapshot decoding rejects any other. *)
+let trace_ring_size = 32
+
 let record_trace t eip =
   t.trace.(t.trace_pos) <- eip;
-  t.trace_pos <- (t.trace_pos + 1) mod Array.length t.trace
+  t.trace_pos <- (t.trace_pos + 1) land (trace_ring_size - 1)
 
 let create ~pid ~name ~aspace =
-  let console_in = Pipe.create ~name:(Fmt.str "%s.stdin" name) () in
-  let console_out = Pipe.create ~capacity:(1 lsl 20) ~name:(Fmt.str "%s.stdout" name) () in
+  let console_in = Pipe.create ~name:(name ^ ".stdin") () in
+  let console_out = Pipe.create ~capacity:(1 lsl 20) ~name:(name ^ ".stdout") () in
   let fds = Hashtbl.create 8 in
   Hashtbl.replace fds 0 (Read_end console_in);
   Hashtbl.replace fds 1 (Write_end console_out);
@@ -84,7 +88,7 @@ let create ~pid ~name ~aspace =
       parent = None;
       detections = 0;
       recovery_handler = None;
-      trace = Array.make 32 (-1);
+      trace = Array.make trace_ring_size (-1);
       trace_pos = 0;
       protected_ = true;
       on_retire = ignore;

@@ -45,8 +45,9 @@ type t = {
   mutable recovery_handler : int option;
       (** attack-recovery callback registered via the sigrecover syscall
           (the paper's proposed recovery response mode, §4.5) *)
-  trace : int array;  (** ring buffer of recently executed EIPs *)
-  mutable trace_pos : int;
+  trace : int array;
+      (** ring buffer of recently executed EIPs, {!trace_ring_size} long *)
+  mutable trace_pos : int;  (** next slot, in [\[0, trace_ring_size)] *)
   mutable protected_ : bool;
       (** per-process opt-out (paper §3.3.1: a process that needs a plain
           von Neumann view — e.g. self-modifying code — simply gets one
@@ -56,6 +57,9 @@ type t = {
           {!record_trace}. Built once at creation so the scheduler can arm
           it each quantum with a field write, not a closure allocation. *)
 }
+
+val trace_ring_size : int
+(** Length of every process's [trace] ring; a power of two. *)
 
 val create : pid:int -> name:string -> aspace:Aspace.t -> t
 val fd : t -> int -> fd_obj option

@@ -40,6 +40,8 @@ type outcome = {
 
 let spec (c : config) =
   let mode = match c.model with Loadgen.Closed _ -> `Closed | Loadgen.Open _ -> `Open in
+  (* one image for every server, so the loader verifies and keys it once *)
+  let server = G.serve_server ~ws_pages:c.ws_pages ~size:c.resp_size () in
   let guests =
     List.concat
       (List.init c.concurrency (fun i ->
@@ -48,7 +50,7 @@ let spec (c : config) =
                ~requests:c.requests ~seed:c.seed ~client:i ()
            in
            [
-             H.guest (G.serve_server ~ws_pages:c.ws_pages ~size:c.resp_size ());
+             H.guest server;
              H.guest (G.serve_client ~mode ~size:c.resp_size ~schedule ());
            ]))
   in

@@ -5,7 +5,7 @@ let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 module W = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 65536
+  let create ?(size = 65536) () = Buffer.create size
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
   (* zigzag so negative values (register contents, error returns held in

@@ -11,10 +11,16 @@ exception Corrupt of string
     or array length larger than the bytes left could hold (checked before
     anything is allocated). *)
 
+val corrupt : ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** Raise {!Corrupt} with a formatted message. *)
+
 module W : sig
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** A writer whose buffer starts at [size] bytes (default 64 KiB) and
+      grows as needed. *)
+
   val u8 : t -> int -> unit
   val int : t -> int -> unit
   val bool : t -> bool -> unit

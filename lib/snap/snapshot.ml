@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 let magic = "SMEMSNP1"
 
 type trigger = { t_pid : int; t_eip : int; t_mode : string }
@@ -26,7 +26,7 @@ type region_state = {
   rs_kind : int;
   rs_writable : bool;
   rs_execable : bool;
-  rs_source : (int * string) option;  (* Image_bytes (base, bytes); None = Zero *)
+  rs_source : int option;  (* Image_bytes: index into [sn_segments]; None = Zero *)
 }
 
 type proc_state = {
@@ -78,6 +78,10 @@ type t = {
   sn_frames : (int * string) list;  (* non-zero frames, ascending *)
   sn_frames_skipped : int;
   sn_alloc : Kernel.Frame_alloc.state;
+  sn_segments : (int * string) array;
+      (* distinct image region sources (base, bytes), first-use order over
+         the pid-sorted processes: every process spawned from one image
+         refers to one entry *)
   sn_itlb : Hw.Tlb.state;
   sn_dtlb : Hw.Tlb.state;
   sn_pipes : (int * Kernel.Pipe.state) list;  (* registry id, state *)
@@ -184,8 +188,10 @@ let require_no_caches what os =
   match Hw.Mmu.icache (Kernel.Os.mmu os) with
   | Some _ ->
     invalid_arg
-      (what ^ ": the cache timing model is not serialized in format v1; \
-       disable ~caches to snapshot this machine")
+      (Fmt.str
+         "%s: the cache timing model is not serialized in format v%d; disable \
+          ~caches to snapshot this machine"
+         what version)
   | None -> ()
 
 let us_since t0 =
@@ -193,19 +199,37 @@ let us_since t0 =
   if dt < 0. then 0 else int_of_float dt
 
 (* Pipes are shared objects (fork-inherited fds, connect pairs): identify
-   them physically and number them in first-encounter order over the
-   pid-sorted process list, so the same logical machine always produces
-   the same registry. *)
+   them by {!Kernel.Pipe.uid} and number them in first-encounter order over
+   the pid-sorted process list, so the same logical machine always
+   produces the same registry. Image region sources are numbered the same
+   way into the segment table; two sources are one entry when their base
+   and bytes are equal ([String.equal] answers at once for the shared
+   string of one image's segment). *)
 let export_pipes_and_procs os =
-  let reg : (Kernel.Pipe.t * int) list ref = ref [] in
+  let pipe_ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let states = ref [] in
   let pipe_id p =
-    match List.assq_opt p !reg with
+    let uid = Kernel.Pipe.uid p in
+    match Hashtbl.find_opt pipe_ids uid with
     | Some id -> id
     | None ->
-      let id = List.length !reg in
-      reg := (p, id) :: !reg;
+      let id = Hashtbl.length pipe_ids in
+      Hashtbl.replace pipe_ids uid id;
       states := (id, Kernel.Pipe.export p) :: !states;
+      id
+  in
+  let seg_ids : (int * int, (string * int) list) Hashtbl.t = Hashtbl.create 16 in
+  let segments = ref [] and nsegments = ref 0 in
+  let segment_id base bytes =
+    let k = (base, String.length bytes) in
+    let bucket = Option.value (Hashtbl.find_opt seg_ids k) ~default:[] in
+    match List.find_opt (fun (b, _) -> String.equal b bytes) bucket with
+    | Some (_, id) -> id
+    | None ->
+      let id = !nsegments in
+      incr nsegments;
+      Hashtbl.replace seg_ids k ((bytes, id) :: bucket);
+      segments := (base, bytes) :: !segments;
       id
   in
   let export_proc (p : Kernel.Proc.t) =
@@ -232,7 +256,7 @@ let export_pipes_and_procs os =
             rs_source =
               (match r.source with
               | Zero -> None
-              | Image_bytes { base; bytes } -> Some (base, bytes));
+              | Image_bytes { base; bytes } -> Some (segment_id base bytes));
           })
         p.aspace.regions
     in
@@ -287,7 +311,7 @@ let export_pipes_and_procs os =
     }
   in
   let procs = List.map export_proc (Kernel.Os.procs os) in
-  (List.rev !states, procs)
+  (List.rev !states, Array.of_list (List.rev !segments), procs)
 
 let checkpoint ?(meta = []) ?trigger os =
   require_no_caches "Snapshot.checkpoint" os;
@@ -296,12 +320,16 @@ let checkpoint ?(meta = []) ?trigger os =
   let cost = Kernel.Os.cost os in
   let mmu = Kernel.Os.mmu os in
   let n = Hw.Phys.frame_count phys in
-  let frames = ref [] and skipped = ref 0 in
-  for frame = n - 1 downto 0 do
-    if Hw.Phys.is_zero_frame phys ~frame then incr skipped
-    else frames := (frame, Hw.Phys.to_string phys ~frame) :: !frames
-  done;
-  let pipes, procs = export_pipes_and_procs os in
+  (* only frames without the known-zero bit can hold data; those that
+     turn out all-zero anyway are skipped like the never-touched ones *)
+  let frames = ref [] and written = ref 0 in
+  Hw.Phys.iter_frames phys ~mask:Hw.Phys.zero_bit ~skip:Hw.Phys.zero_bit (fun frame ->
+      if not (Hw.Phys.is_zero_frame phys ~frame) then begin
+        frames := (frame, Hw.Phys.to_string phys ~frame) :: !frames;
+        incr written
+      end);
+  let skipped = n - !written in
+  let pipes, segments, procs = export_pipes_and_procs os in
   (* scheduler bookkeeping comes straight from the scheduler layer *)
   let sched : Kernel.Sched.state = Kernel.Sched.state (Kernel.Os.machine os) in
   let snap =
@@ -320,9 +348,10 @@ let checkpoint ?(meta = []) ?trigger os =
           cs_syscalls = cost.syscalls;
           cs_ctx_switches = cost.ctx_switches;
         };
-      sn_frames = !frames;
-      sn_frames_skipped = !skipped;
+      sn_frames = List.rev !frames;
+      sn_frames_skipped = skipped;
       sn_alloc = Kernel.Frame_alloc.export (Kernel.Os.alloc os);
+      sn_segments = segments;
       sn_itlb = Hw.Tlb.export (Hw.Mmu.itlb mmu);
       sn_dtlb = Hw.Tlb.export (Hw.Mmu.dtlb mmu);
       sn_pipes = pipes;
@@ -343,10 +372,8 @@ let checkpoint ?(meta = []) ?trigger os =
   let obs = Kernel.Os.obs os in
   if Obs.enabled obs then begin
     Obs.count obs "snap.checkpoints";
-    Obs.Metrics.incr ~by:!skipped (Obs.counter obs "snap.frames_sparse_skipped");
-    Obs.Metrics.incr
-      ~by:(List.length snap.sn_frames)
-      (Obs.counter obs "snap.frames_written");
+    Obs.Metrics.incr ~by:skipped (Obs.counter obs "snap.frames_sparse_skipped");
+    Obs.Metrics.incr ~by:!written (Obs.counter obs "snap.frames_written");
     Obs.Metrics.observe (Obs.histogram obs "snap.checkpoint_us") (us_since t0)
   end;
   snap
@@ -371,10 +398,12 @@ let restore os snap =
          (Kernel.Os.protection os).name snap.sn_protection);
   if Hashtbl.hash cost.params <> snap.sn_params_hash then
     invalid_arg "Snapshot.restore: cost parameter mismatch";
-  (* physical memory: zero everything, then lay down the sparse frames *)
-  for frame = 0 to snap.sn_frame_count - 1 do
-    Hw.Phys.fill phys ~frame 0
-  done;
+  (* physical memory: zero everything, then lay down the sparse frames.
+     [fill 0] leaves a known-zero unwatched frame as it is, so only the
+     other frames need it; a watched zero frame is still filled, which
+     fires its write watch exactly as a fill of every frame would. *)
+  Hw.Phys.iter_frames phys ~mask:0xFF ~skip:Hw.Phys.zero_bit (fun frame ->
+      Hw.Phys.fill phys ~frame 0);
   List.iter
     (fun (frame, bytes) -> Hw.Phys.blit_from_string phys ~frame ~off:0 bytes)
     snap.sn_frames;
@@ -393,6 +422,10 @@ let restore os snap =
     match Hashtbl.find_opt pipes id with
     | Some p -> p
     | None -> raise (Codec.Corrupt (Fmt.str "dangling pipe id %d" id))
+  in
+  (* one source value, hence one bytes string, per segment *)
+  let sources =
+    Array.map (fun (base, bytes) -> Kernel.Aspace.Image_bytes { base; bytes }) snap.sn_segments
   in
   (* processes *)
   let build_proc (ps : proc_state) : Kernel.Proc.t =
@@ -417,7 +450,7 @@ let restore os snap =
             source =
               (match rs.rs_source with
               | None -> Kernel.Aspace.Zero
-              | Some (base, bytes) -> Kernel.Aspace.Image_bytes { base; bytes });
+              | Some i -> sources.(i));
             (* derived perf-only state, deliberately not serialized:
                recomputed by [Machine.rebuild_shares] below *)
             share = None;
@@ -719,7 +752,7 @@ let proc_w b (p : proc_state) =
       u8 b rs.rs_kind;
       bool b rs.rs_writable;
       bool b rs.rs_execable;
-      opt (pair int str) b rs.rs_source)
+      opt int b rs.rs_source)
     b p.pr_regions;
   list
     (fun b ps ->
@@ -735,7 +768,7 @@ let proc_w b (p : proc_state) =
       opt (triple int int bool) b ps.ps_split)
     b p.pr_ptes
 
-let proc_r r : proc_state =
+let proc_r ~segments r : proc_state =
   let open Codec.R in
   let pr_pid = int r in
   let pr_name = str r in
@@ -755,6 +788,13 @@ let proc_r r : proc_state =
   let pr_recovery = opt int r in
   let pr_trace = int_array r in
   let pr_trace_pos = int r in
+  (* the ring index wraps with a mask: any other length, or a position
+     outside the ring, would fault on the first retired instruction *)
+  if Array.length pr_trace <> Kernel.Proc.trace_ring_size then
+    Codec.corrupt "pid %d: trace ring of %d entries (expected %d)" pr_pid
+      (Array.length pr_trace) Kernel.Proc.trace_ring_size;
+  if pr_trace_pos < 0 || pr_trace_pos >= Kernel.Proc.trace_ring_size then
+    Codec.corrupt "pid %d: trace position %d out of range" pr_pid pr_trace_pos;
   let pr_insns = int r in
   let pr_protected = bool r in
   let pr_console_in = int r in
@@ -770,7 +810,12 @@ let proc_r r : proc_state =
         let rs_kind = u8 r in
         let rs_writable = bool r in
         let rs_execable = bool r in
-        let rs_source = opt (pair_r int str) r in
+        let rs_source = opt int r in
+        (match rs_source with
+        | Some i when i < 0 || i >= segments ->
+          Codec.corrupt "pid %d: segment index %d out of range (%d segments)" pr_pid i
+            segments
+        | _ -> ());
         { rs_lo; rs_hi; rs_kind; rs_writable; rs_execable; rs_source })
       r
   in
@@ -831,9 +876,60 @@ let proc_r r : proc_state =
     pr_ptes;
   }
 
+(* Non-zero frames: ascending, in range, one page each. *)
+let frames_r ~frame_count ~page_size r =
+  let prev = ref (-1) in
+  Codec.R.list
+    (fun r ->
+      let frame = Codec.R.int r in
+      if frame <= !prev || frame >= frame_count then
+        Codec.corrupt "frame %d out of order or range (after %d, %d frames)" frame !prev
+          frame_count;
+      prev := frame;
+      let bytes = Codec.R.str r in
+      if String.length bytes <> page_size then
+        Codec.corrupt "frame %d holds %d bytes (page size %d)" frame (String.length bytes)
+          page_size;
+      (frame, bytes))
+    r
+
+(* The sparse allocator section: [in_use], [peak_in_use], then exactly
+   [in_use] (frame, refcount) entries, strictly ascending frames in
+   [1, frame_count) and refcounts >= 1. Anything else would restore an
+   allocator whose free set and counters disagree. *)
+let alloc_r ~frame_count r : Kernel.Frame_alloc.state =
+  let s_in_use = Codec.R.int r in
+  let s_peak_in_use = Codec.R.int r in
+  if s_in_use < 0 || s_peak_in_use < s_in_use then
+    Codec.corrupt "allocator: in_use %d, peak %d" s_in_use s_peak_in_use;
+  let prev = ref 0 in
+  let s_used =
+    Codec.R.list
+      (fun r ->
+        let frame = Codec.R.int r in
+        let rc = Codec.R.int r in
+        if frame <= !prev || frame >= frame_count then
+          Codec.corrupt "allocator: frame %d out of order or range (after %d, %d frames)"
+            frame !prev frame_count;
+        if rc <= 0 then Codec.corrupt "allocator: frame %d has refcount %d" frame rc;
+        prev := frame;
+        (frame, rc))
+      r
+  in
+  let n = List.length s_used in
+  if n <> s_in_use then
+    Codec.corrupt "allocator: %d frames listed, in_use %d" n s_in_use;
+  { s_used; s_in_use; s_peak_in_use }
+
 let encode t =
   let open Codec.W in
-  let b = create () in
+  (* frames and segments are the bulk of a blob: size the buffer for them
+     so it does not regrow and copy them on the way *)
+  let bulk =
+    (List.length t.sn_frames * (t.sn_page_size + 16))
+    + Array.fold_left (fun n (_, bytes) -> n + 16 + String.length bytes) 0 t.sn_segments
+  in
+  let b = create ~size:(bulk + 65536) () in
   raw b magic;
   int b version;
   int b t.sn_page_size;
@@ -849,10 +945,9 @@ let encode t =
   int b t.sn_cost.cs_ctx_switches;
   list (pair int str) b t.sn_frames;
   int b t.sn_frames_skipped;
-  list int b t.sn_alloc.s_free;
-  int_array b t.sn_alloc.s_refcount;
   int b t.sn_alloc.s_in_use;
   int b t.sn_alloc.s_peak_in_use;
+  list (pair int int) b t.sn_alloc.s_used;
   tlb_w b t.sn_itlb;
   tlb_w b t.sn_dtlb;
   list (pair int (fun b (s : Kernel.Pipe.state) ->
@@ -863,6 +958,7 @@ let encode t =
             int b s.s_writers;
             int b s.s_bytes_written))
     b t.sn_pipes;
+  list (pair int str) b (Array.to_list t.sn_segments);
   list proc_w b t.sn_procs;
   list
     (pair str (fun b (l : Kernel.Os.library) ->
@@ -905,12 +1001,9 @@ let decode s =
   let cs_single_steps = int r in
   let cs_syscalls = int r in
   let cs_ctx_switches = int r in
-  let sn_frames = list (pair_r int str) r in
+  let sn_frames = frames_r ~frame_count:sn_frame_count ~page_size:sn_page_size r in
   let sn_frames_skipped = int r in
-  let s_free = list int r in
-  let s_refcount = int_array r in
-  let s_in_use = int r in
-  let s_peak_in_use = int r in
+  let sn_alloc = alloc_r ~frame_count:sn_frame_count r in
   let sn_itlb = tlb_r r in
   let sn_dtlb = tlb_r r in
   let sn_pipes =
@@ -932,7 +1025,8 @@ let decode s =
            }))
       r
   in
-  let sn_procs = list proc_r r in
+  let sn_segments = Array.of_list (list (pair_r int str) r) in
+  let sn_procs = list (proc_r ~segments:(Array.length sn_segments)) r in
   let sn_libs =
     list
       (pair_r str (fun r ->
@@ -978,7 +1072,8 @@ let decode s =
       };
     sn_frames;
     sn_frames_skipped;
-    sn_alloc = { s_free; s_refcount; s_in_use; s_peak_in_use };
+    sn_alloc;
+    sn_segments;
     sn_itlb;
     sn_dtlb;
     sn_pipes;

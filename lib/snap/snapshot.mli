@@ -8,11 +8,18 @@
     libraries, scheduler state, the kernel PRNG, cost counters and the
     event log.
 
+    A snapshot stores only what the machine uses: the frames that may
+    hold data, the allocated frames with their refcounts, and each
+    distinct image segment once however many processes map it. Capture,
+    encoding, decoding and restore cost O(allocated frames + touched
+    frames + distinct segments), not O(frames) or O(processes x image
+    bytes).
+
     The binary format is versioned ({!magic}, {!version}); {!manifest}
     renders a human-readable JSON summary written next to the binary by
     {!save}.
 
-    Limitations (v1): the optional I/D cache timing model is not
+    Limitations (v2): the optional I/D cache timing model is not
     serialized — {!checkpoint} and {!restore} reject machines with caches
     enabled. The kernel PRNG is stored as an opaque [Marshal] blob, so
     snapshot files are portable only across builds with the same OCaml
@@ -57,7 +64,12 @@ val restore : Kernel.Os.t -> t -> unit
 
 val encode : t -> string
 val decode : string -> t
-(** @raise Codec.Corrupt on truncation, bad magic or unknown version. *)
+(** @raise Codec.Corrupt on truncation, bad magic, any version but
+    {!version}, or metadata a restore could not honour: frames or
+    allocator entries out of order or range, refcounts [<= 0], an entry
+    count other than the allocator's [in_use], [peak_in_use < in_use], a
+    segment index past the segment table, or a trace ring whose length or
+    position does not fit {!Kernel.Proc.trace_ring_size}. *)
 
 val manifest : t -> Obs.Json.t
 

@@ -124,7 +124,7 @@ let corrupt_or_fail what f =
 (* A length field claiming more elements than the bytes left could hold is
    rejected before anything is allocated. The offsets follow the section
    order of [Snapshot.encode]: header, cost counters, the frame list, the
-   skipped count, the allocator's free list, then its refcount array. *)
+   skipped count, the allocator's in_use and peak, then its used list. *)
 let test_codec_huge_lengths () =
   let module W = Snap.Codec.W in
   let module R = Snap.Codec.R in
@@ -132,6 +132,7 @@ let test_codec_huge_lengths () =
   let os = s.start () in
   ignore (Kernel.Os.run ~fuel:1500 os);
   let snap = Snap.Snapshot.checkpoint os in
+  let in_use = Kernel.Frame_alloc.in_use (Kernel.Os.alloc os) in
   let good = Snap.Snapshot.encode snap in
   let int_at off = R.int (R.of_string (String.sub good off 8)) in
   let patch off v =
@@ -147,9 +148,8 @@ let test_codec_huge_lengths () =
   in
   let written = Snap.Snapshot.frames_written snap in
   Alcotest.(check int) "frame list length" written (int_at frames_len);
-  let free_len = frames_len + 8 + (written * (16 + Snap.Snapshot.page_size snap)) + 8 in
-  let refcount_len = free_len + 8 + (8 * int_at free_len) in
-  Alcotest.(check int) "refcount length" (Snap.Snapshot.frame_count snap) (int_at refcount_len);
+  let used_len = frames_len + 8 + (written * (16 + Snap.Snapshot.page_size snap)) + 8 + 16 in
+  Alcotest.(check int) "used list length" in_use (int_at used_len);
   List.iter
     (fun (what, off) ->
       List.iter
@@ -157,11 +157,276 @@ let test_codec_huge_lengths () =
           corrupt_or_fail (Fmt.str "%s = %d" what n) (fun () ->
               Snap.Snapshot.decode (patch off n)))
         [ String.length good; 1 lsl 40; max_int / 2 ])
-    [ ("frame list length", frames_len); ("refcount length", refcount_len) ];
+    [ ("frame list length", frames_len); ("used list length", used_len) ];
   let b = W.create () in
   W.int b 2;
   W.int b 7;
   corrupt_or_fail "array of 2 ints in 8 bytes" (fun () -> R.int_array (R.of_string (W.contents b)))
+
+(* --- Format v2: the decoder fails closed --------------------------------- *)
+
+let encoded f =
+  let b = Snap.Codec.W.create () in
+  f b;
+  Snap.Codec.W.contents b
+
+(* Offsets at which [sub] occurs in [s]. *)
+let occurrences s sub =
+  let n = String.length sub in
+  let rec matches i j = j = n || (s.[i + j] = sub.[j] && matches i (j + 1)) in
+  List.filter (fun i -> matches i 0) (List.init (max 0 (String.length s - n + 1)) Fun.id)
+
+let splice s ~off ~len repl =
+  String.sub s 0 off ^ repl ^ String.sub s (off + len) (String.length s - off - len)
+
+let only_occurrence what s sub =
+  match occurrences s sub with
+  | [ off ] -> off
+  | offs -> Alcotest.failf "%s found %d times in the blob" what (List.length offs)
+
+let test_v1_rejected () =
+  let good = Snap.Snapshot.encode (Snap.Snapshot.checkpoint ((scenario "benign").start ())) in
+  let off = String.length Snap.Snapshot.magic in
+  Alcotest.(check int)
+    "version field" Snap.Snapshot.version
+    (Snap.Codec.R.int (Snap.Codec.R.of_string (String.sub good off 8)));
+  let v1 = splice good ~off ~len:8 (encoded (fun b -> Snap.Codec.W.int b 1)) in
+  match Snap.Snapshot.decode v1 with
+  | exception Snap.Codec.Corrupt msg ->
+    Alcotest.(check bool) (Fmt.str "names the version: %s" msg) true (contains ~affix:"version 1" msg)
+  | _ -> Alcotest.fail "v1 blob accepted"
+
+(* The first entry of the frame list: its index out of range, or its bytes
+   not one page long. *)
+let test_frame_list_rejected () =
+  let os = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:1500 os);
+  let snap = Snap.Snapshot.checkpoint os in
+  let good = Snap.Snapshot.encode snap in
+  let first =
+    String.length Snap.Snapshot.magic + (8 * 4)
+    + String.length (Snap.Snapshot.protection_name snap)
+    + 8 + (8 * 7) + 8
+  in
+  let patch off v = splice good ~off ~len:8 (encoded (fun b -> Snap.Codec.W.int b v)) in
+  List.iter
+    (fun (what, bad) -> corrupt_or_fail what (fun () -> Snap.Snapshot.decode bad))
+    [
+      ("frame = frame count", patch first (Snap.Snapshot.frame_count snap));
+      ("negative frame", patch first (-1));
+      ("short page", patch (first + 8) (Snap.Snapshot.page_size snap - 1));
+    ]
+
+(* Every malformed used list is [Corrupt]; a well-formed replacement
+   section still decodes. *)
+let test_alloc_section_rejected () =
+  let module W = Snap.Codec.W in
+  let os = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:1500 os);
+  let snap = Snap.Snapshot.checkpoint os in
+  let st = Kernel.Frame_alloc.export (Kernel.Os.alloc os) in
+  let section ~in_use ~peak used =
+    encoded (fun b ->
+        W.int b in_use;
+        W.int b peak;
+        W.list
+          (fun b (f, rc) ->
+            W.int b f;
+            W.int b rc)
+          b used)
+  in
+  let good = Snap.Snapshot.encode snap in
+  let orig = section ~in_use:st.s_in_use ~peak:st.s_peak_in_use st.s_used in
+  let off = only_occurrence "allocator section" good orig in
+  let with_section sec = splice good ~off ~len:(String.length orig) sec in
+  let f1, f2 =
+    match st.s_used with
+    | (a, _) :: (b, _) :: _ -> (a, b)
+    | _ -> Alcotest.fail "need two allocated frames"
+  in
+  let n = Snap.Snapshot.frame_count snap in
+  List.iter
+    (fun (what, sec) -> corrupt_or_fail what (fun () -> Snap.Snapshot.decode (with_section sec)))
+    [
+      ("frame 0", section ~in_use:1 ~peak:1 [ (0, 1) ]);
+      ("negative frame", section ~in_use:1 ~peak:1 [ (-4, 1) ]);
+      ("frame = frame count", section ~in_use:1 ~peak:1 [ (n, 1) ]);
+      ("unsorted", section ~in_use:2 ~peak:2 [ (f2, 1); (f1, 1) ]);
+      ("repeated", section ~in_use:2 ~peak:2 [ (f1, 1); (f1, 1) ]);
+      ("refcount 0", section ~in_use:1 ~peak:1 [ (f1, 0) ]);
+      ("negative refcount", section ~in_use:1 ~peak:1 [ (f1, -3) ]);
+      ("fewer entries than in_use", section ~in_use:2 ~peak:2 [ (f1, 1) ]);
+      ("more entries than in_use", section ~in_use:1 ~peak:2 [ (f1, 1); (f2, 1) ]);
+      ("peak below in_use", section ~in_use:2 ~peak:1 [ (f1, 1); (f2, 1) ]);
+    ];
+  let snap' = Snap.Snapshot.decode (with_section (section ~in_use:1 ~peak:9 [ (f1, 3) ])) in
+  Alcotest.(check string)
+    "well-formed section round-trips" (with_section (section ~in_use:1 ~peak:9 [ (f1, 3) ]))
+    (Snap.Snapshot.encode snap')
+
+(* Emptying the segment table leaves every image region pointing past its
+   end. *)
+let test_segment_index_rejected () =
+  let module W = Snap.Codec.W in
+  let os = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:300 os);
+  let good = Snap.Snapshot.encode (Snap.Snapshot.checkpoint os) in
+  let sources =
+    List.fold_left
+      (fun acc (p : Kernel.Proc.t) ->
+        List.fold_left
+          (fun acc (r : Kernel.Aspace.region) ->
+            match r.source with
+            | Image_bytes { base; bytes } when not (List.mem (base, bytes) acc) ->
+              acc @ [ (base, bytes) ]
+            | _ -> acc)
+          acc p.aspace.regions)
+      [] (Kernel.Os.procs os)
+  in
+  let table =
+    encoded (fun b ->
+        W.list
+          (fun b (base, bytes) ->
+            W.int b base;
+            W.str b bytes)
+          b sources)
+  in
+  let off = only_occurrence "segment table" good table in
+  let bad = splice good ~off ~len:(String.length table) (encoded (fun b -> W.list W.int b [])) in
+  match Snap.Snapshot.decode bad with
+  | exception Snap.Codec.Corrupt msg ->
+    Alcotest.(check bool) (Fmt.str "index check: %s" msg) true (contains ~affix:"segment index" msg)
+  | _ -> Alcotest.fail "dangling segment index accepted"
+
+(* A trace ring of the wrong length or a position outside it used to
+   decode and restore, then fault on the first retired instruction. Each
+   patched blob must be [Corrupt]; were one accepted, running it shows
+   why. *)
+let test_bad_trace_ring () =
+  let module W = Snap.Codec.W in
+  let start () = (scenario "benign").start () in
+  let os = start () in
+  ignore (Kernel.Os.run ~fuel:300 os);
+  let good = Snap.Snapshot.encode (Snap.Snapshot.checkpoint os) in
+  let run blob =
+    let target = start () in
+    Snap.Snapshot.restore target (Snap.Snapshot.decode blob);
+    ignore (Kernel.Os.run ~fuel:100 target)
+  in
+  run good;
+  let p =
+    List.fold_left
+      (fun (a : Kernel.Proc.t) (b : Kernel.Proc.t) -> if b.p_insns > a.p_insns then b else a)
+      (List.hd (Kernel.Os.procs os)) (Kernel.Os.procs os)
+  in
+  let ring trace pos =
+    encoded (fun b ->
+        W.int_array b trace;
+        W.int b pos)
+  in
+  let orig = ring p.trace p.trace_pos in
+  let off =
+    match occurrences good orig with
+    | off :: _ -> off
+    | [] -> Alcotest.fail "trace ring not found in the blob"
+  in
+  let size = Kernel.Proc.trace_ring_size in
+  List.iter
+    (fun (what, repl) ->
+      let bad = splice good ~off ~len:(String.length orig) repl in
+      match Snap.Snapshot.decode bad with
+      | exception Snap.Codec.Corrupt _ -> ()
+      | _ ->
+        run bad;
+        Alcotest.failf "%s: accepted" what)
+    [
+      ("empty ring", ring [||] 0);
+      ("short ring", ring (Array.sub p.trace 0 (size / 2)) 0);
+      ("position = ring size", ring p.trace size);
+      ("negative position", ring p.trace (-1));
+    ]
+
+(* Random allocator histories survive export -> encode -> decode ->
+   import: the restored allocator agrees on every refcount and counter and
+   hands out the same frames, single and paired, until both run out. *)
+type alloc_op = Alloc | Alloc_pair | Incref of int | Decref of int | Register of int | Unshare of int
+
+let pp_alloc_op = function
+  | Alloc -> "alloc"
+  | Alloc_pair -> "alloc_pair"
+  | Incref k -> Fmt.str "incref %d" k
+  | Decref k -> Fmt.str "decref %d" k
+  | Register k -> Fmt.str "register %d" k
+  | Unshare k -> Fmt.str "unshare %d" k
+
+let prop_alloc_roundtrip =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, return Alloc);
+          (2, return Alloc_pair);
+          (2, map (fun k -> Incref k) nat);
+          (4, map (fun k -> Decref k) nat);
+          (1, map (fun k -> Register k) nat);
+          (1, map (fun k -> Unshare k) nat);
+        ])
+  in
+  let machine () =
+    Kernel.Os.create ~frames:96 ~protection:(Defense.to_protection Defense.split_standalone) ()
+  in
+  Test.make ~name:"allocator state survives a snapshot round trip" ~count:150
+    (make ~print:(Print.list pp_alloc_op) Gen.(list_size (int_range 0 160) op))
+    (fun ops ->
+      let module F = Kernel.Frame_alloc in
+      let os = machine () in
+      let fa = Kernel.Os.alloc os in
+      let live = ref [] in
+      let pick k = List.nth !live (k mod List.length !live) in
+      List.iter
+        (fun op ->
+          try
+            match op with
+            | Alloc -> live := F.alloc fa :: !live
+            | Alloc_pair ->
+              let a, b = F.alloc_pair fa in
+              live := a :: b :: !live
+            | _ when !live = [] -> ()
+            | Incref k -> F.incref fa (pick k)
+            | Decref k ->
+              let f = pick k in
+              F.decref fa f;
+              if F.refcount fa f = 0 then live := List.filter (( <> ) f) !live
+            | Register k ->
+              let f = pick k in
+              F.register_share fa ~key:(string_of_int f) ~frame:f
+            | Unshare k ->
+              let f = pick k in
+              let f' = F.unshare fa f in
+              if f' <> f then live := f' :: !live
+          with F.Out_of_frames -> ())
+        ops;
+      let blob = Snap.Snapshot.encode (Snap.Snapshot.checkpoint os) in
+      let os' = machine () in
+      Snap.Snapshot.restore os' (Snap.Snapshot.decode blob);
+      let fa' = Kernel.Os.alloc os' in
+      let counters a = (F.free_frames a, F.in_use a, F.peak_in_use a) in
+      let refcounts a = List.init 96 (F.refcount a) in
+      let rec drain acc i =
+        let next a =
+          match if i land 1 = 0 then [ F.alloc a ] else (fun (x, y) -> [ x; y ]) (F.alloc_pair a) with
+          | fs -> Some fs
+          | exception F.Out_of_frames -> None
+        in
+        match (next fa, next fa') with
+        | None, None -> Some (List.rev acc)
+        | Some a, Some b when a = b -> drain (a :: acc) (i + 1)
+        | _ -> None
+      in
+      counters fa = counters fa'
+      && refcounts fa = refcounts fa'
+      && drain [] 0 <> None)
 
 (* --- Round-trip replay across scenarios ---------------------------------- *)
 
@@ -490,6 +755,14 @@ let suite =
     QCheck_alcotest.to_alcotest prop_codec_int_matches_per_byte;
     Alcotest.test_case "codec edge ints and short read" `Quick test_codec_edge_ints;
     Alcotest.test_case "codec rejects huge lengths" `Quick test_codec_huge_lengths;
+    Alcotest.test_case "v1 blob rejected" `Quick test_v1_rejected;
+    Alcotest.test_case "malformed frame list rejected" `Quick test_frame_list_rejected;
+    Alcotest.test_case "malformed allocator sections rejected" `Quick
+      test_alloc_section_rejected;
+    Alcotest.test_case "out-of-range segment index rejected" `Quick
+      test_segment_index_rejected;
+    Alcotest.test_case "bad trace ring rejected" `Quick test_bad_trace_ring;
+    QCheck_alcotest.to_alcotest prop_alloc_roundtrip;
     Alcotest.test_case "round trip: benign" `Quick (test_roundtrip "benign");
     Alcotest.test_case "round trip: attack-break" `Quick (test_roundtrip "attack-break");
     Alcotest.test_case "round trip: attack-forensics" `Quick
