@@ -39,8 +39,10 @@ let entry_consistent ~access (pte : Kernel.Pte.t option) (e : Hw.Tlb.entry) =
 let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = false)
     ?(mechanism = Tlb_desync) ?(itlb_load = Single_step) () : Kernel.Protection.t =
   let page_size ctx = Hw.Phys.page_size ctx.Kernel.Protection.phys in
-  let pte_of (proc : Kernel.Proc.t) ctx addr =
-    Kernel.Aspace.pte proc.aspace (addr / page_size ctx)
+  (* The PTE behind [addr], for the trap handlers: raises [Not_found]
+     instead of allocating an option. *)
+  let find_pte (proc : Kernel.Proc.t) ctx addr =
+    Hashtbl.find proc.aspace.ptes (addr / page_size ctx)
   in
 
   let on_page_mapped (ctx : Kernel.Protection.ctx) _proc (region : Kernel.Aspace.region) (pte : Kernel.Pte.t) =
@@ -83,8 +85,8 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
 
   (* Algorithm 1: the split-memory page-fault handler. *)
   let on_protection_fault (ctx : Kernel.Protection.ctx) (proc : Kernel.Proc.t) (f : Hw.Mmu.fault) =
-    match pte_of proc ctx f.addr with
-    | Some pte when Splitter.is_active_split pte && (not pte.user) && f.from_user ->
+    match find_pte proc ctx f.addr with
+    | pte when Splitter.is_active_split pte && (not pte.user) && f.from_user ->
       let since = ctx.cost.cycles in
       Hw.Cost.charge_split_pf ctx.cost;
       let s = Option.get pte.split in
@@ -97,7 +99,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
           | Single_step ->
             (* Code access: single-step the restarted instruction so the
                ITLB gets filled; the debug-interrupt handler re-restricts. *)
-            proc.pending_fault_addr <- Some f.addr;
+            proc.pending_fault_addr <- f.addr;
             proc.regs.tf <- true;
             if Obs.enabled ctx.obs then
               Obs.span_begin ctx.obs
@@ -136,27 +138,27 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
             [ ("pid", Obs.Json.Int proc.pid);
               ("addr", Obs.Json.Str (Fmt.str "0x%08x" f.addr)) ];
       result
-    | Some pte when nx && pte.nx && f.access = Hw.Mmu.Fetch ->
+    | pte when nx && pte.nx && f.access = Hw.Mmu.Fetch ->
       (* The execute-disable bit caught a fetch from a non-split data
          page (combined deployment mode). *)
       Kernel.Event_log.add ctx.log
         (Kernel.Event_log.Injection_detected { pid = proc.pid; eip = f.addr; mode = "nx" });
       proc.detections <- proc.detections + 1;
       Kernel.Protection.Not_ours
-    | Some _ | None -> Kernel.Protection.Not_ours
+    | _ | (exception Not_found) -> Kernel.Protection.Not_ours
   in
 
   (* Algorithm 2: the debug-interrupt handler. *)
   let on_debug_trap (ctx : Kernel.Protection.ctx) (proc : Kernel.Proc.t) =
-    match proc.pending_fault_addr with
-    | None -> false
-    | Some addr ->
+    let addr = proc.pending_fault_addr in
+    if addr = Kernel.Proc.no_fault_addr then false
+    else begin
       Hw.Cost.charge_single_step ctx.cost;
-      (match pte_of proc ctx addr with
-      | Some pte when Splitter.is_active_split pte -> Kernel.Pte.restrict pte
-      | Some _ | None -> ());
+      (match find_pte proc ctx addr with
+      | pte when Splitter.is_active_split pte -> Kernel.Pte.restrict pte
+      | _ | (exception Not_found) -> ());
       proc.regs.tf <- false;
-      proc.pending_fault_addr <- None;
+      proc.pending_fault_addr <- Kernel.Proc.no_fault_addr;
       (if Obs.enabled ctx.obs then
          match
            Obs.span_end ctx.obs
@@ -169,6 +171,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
              window
          | None -> ());
       true
+    end
   in
 
   (* Algorithm 3 + response modes: the invalid-opcode (SIGILL) path fires
@@ -176,8 +179,8 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
      attacker thought held code. *)
   let on_invalid_opcode (ctx : Kernel.Protection.ctx) (proc : Kernel.Proc.t) ~eip ~opcode =
     ignore opcode;
-    match pte_of proc ctx eip with
-    | Some pte when Splitter.is_active_split pte -> (
+    match find_pte proc ctx eip with
+    | pte when Splitter.is_active_split pte -> (
       proc.detections <- proc.detections + 1;
       if Obs.enabled ctx.obs then begin
         Obs.count ctx.obs "split.detections";
@@ -192,7 +195,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
            { pid = proc.pid; eip; mode = Response.name response });
       (* Clear the single-step bookkeeping left over from the ITLB load of
          the detection fetch. *)
-      proc.pending_fault_addr <- None;
+      proc.pending_fault_addr <- Kernel.Proc.no_fault_addr;
       proc.regs.tf <- false;
       match response with
       | Response.Break -> Kernel.Protection.Kill_process "code injection (break mode)"
@@ -248,7 +251,7 @@ let protection ?(policy = Policy.All_pages) ?(response = Response.Break) ?(nx = 
           Kernel.Event_log.add ctx.log
             (Kernel.Event_log.Forensic_injected { pid = proc.pid; new_eip = base });
           Kernel.Protection.Resume))
-    | Some _ | None -> Kernel.Protection.Benign
+    | _ | (exception Not_found) -> Kernel.Protection.Benign
   in
 
   {

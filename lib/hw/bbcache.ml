@@ -53,6 +53,7 @@ type t = {
   max_block : int;  (* instruction-count cap per block *)
   max_blocks : int;  (* table size at which the cache resets wholesale *)
   scratch : Bytes.t;  (* page-sized frame snapshot buffer, reused per build *)
+  decoded : Isa.Insn.t array;  (* [max_block] slots, reused per build *)
 }
 
 let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
@@ -65,6 +66,7 @@ let create ?(max_block = 128) ?(max_blocks = 65_536) ~phys () =
       max_block;
       max_blocks;
       scratch = Bytes.create (Phys.page_size phys);
+      decoded = Array.make max_block Isa.Insn.Nop;
     }
   in
   Phys.set_write_watch phys
@@ -82,6 +84,22 @@ let generation t frame = t.gen.(frame)
    lifetime) so blocks cached before the clear can never validate again. *)
 let clear t = Hashtbl.reset t.blocks
 
+(* Decode into [t.decoded] from byte [off] of the frame image [bytes];
+   returns how many instructions the block holds. *)
+let rec collect t bytes off n =
+  if n >= t.max_block then n
+  else
+    match Isa.Decode.of_string bytes off with
+    | Error _ ->
+      (* Bad opcode, bad register, or operands running off the page edge:
+         end the block before the undecodable instruction — dispatch falls
+         back to the exact interpreter when it reaches this pc. *)
+      n
+    | Ok insn ->
+      t.decoded.(n) <- insn;
+      if Isa.Insn.is_block_end insn then n + 1
+      else collect t bytes (off + Isa.Insn.size insn) (n + 1)
+
 let build t pa0 =
   let frame = Phys.frame_of_addr t.phys pa0 in
   let off0 = Phys.off_of_addr t.phys pa0 in
@@ -90,22 +108,8 @@ let build t pa0 =
      all architectural fetch effects are replayed at dispatch time. The
      unsafe view is sound because [Decode.of_string] does not retain it. *)
   Phys.blit_to_bytes t.phys ~frame t.scratch;
-  let bytes = Bytes.unsafe_to_string t.scratch in
-  let rec collect off acc count =
-    if count >= t.max_block then List.rev acc
-    else
-      match Isa.Decode.of_string bytes off with
-      | Error _ ->
-        (* Bad opcode, bad register, or operands running off the page edge:
-           end the block before the undecodable instruction — dispatch
-           falls back to the exact interpreter when it reaches this pc. *)
-        List.rev acc
-      | Ok insn ->
-        if Isa.Insn.is_block_end insn then List.rev (insn :: acc)
-        else collect (off + Isa.Insn.size insn) (insn :: acc) (count + 1)
-  in
-  let insns = Array.of_list (collect off0 [] 0) in
-  let n = Array.length insns in
+  let n = collect t (Bytes.unsafe_to_string t.scratch) off0 0 in
+  let insns = Array.sub t.decoded 0 n in
   let sizes = Array.map Isa.Insn.size insns in
   let offs = Array.make (max n 1) 0 in
   for i = 1 to n - 1 do

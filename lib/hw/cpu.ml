@@ -16,8 +16,6 @@ let copy_regs r = { r with gpr = Array.copy r.gpr }
 let get r reg = r.gpr.(Isa.Reg.to_int reg)
 let set r reg v = r.gpr.(Isa.Reg.to_int reg) <- mask32 v
 
-type event = Retired | Syscall of int
-
 (* The four control-transfer shapes a CFI monitor distinguishes. *)
 type ctrl_kind = Exec_env.ctrl_kind =
   | Call_direct
@@ -31,23 +29,40 @@ let ctrl_kind_name = function
   | Return -> "ret"
   | Jump_indirect -> "jmp*"
 
-type fault =
-  | Page of Mmu.fault
-  | Invalid_opcode of { eip : int; opcode : int }
-  | General_protection of string
+type exit_code = Exec_env.exit_code =
+  | No_trap
+  | Syscall
+  | Page_fault
+  | Invalid_opcode
+  | General_protection
 
-let pp_fault ppf = function
-  | Page f -> Mmu.pp_fault ppf f
-  | Invalid_opcode { eip; opcode } -> Fmt.pf ppf "#UD eip=0x%08x opcode=0x%02x" eip opcode
-  | General_protection s -> Fmt.pf ppf "#GP %s" s
+type exit = Exec_env.exit = {
+  mutable attempts : int;
+  mutable retired : int;
+  mutable code : exit_code;
+  mutable syscall : int;
+  mutable ud_eip : int;
+  mutable ud_opcode : int;
+  mutable gp_reason : string;
+  mutable debug : bool;
+}
 
-type step = { outcome : (event, fault) result; debug_trap : bool }
+let exit_code_name = function
+  | No_trap -> "no_trap"
+  | Syscall -> "syscall"
+  | Page_fault -> "page_fault"
+  | Invalid_opcode -> "invalid_opcode"
+  | General_protection -> "general_protection"
 
-(* Preallocated results for the overwhelmingly common case: a retired
-   instruction produces no fresh step record at all. *)
-let ok_retired : (event, fault) result = Ok Retired
-let retired_step = { outcome = ok_retired; debug_trap = false }
-let retired_step_db = { outcome = ok_retired; debug_trap = true }
+(* One formatter for every exit; the page-fault arm is the canonical
+   [Mmu.pp_fault] over the pending-fault registers. *)
+let pp_exit mmu ppf (x : exit) =
+  match x.code with
+  | No_trap -> Fmt.string ppf "no trap"
+  | Syscall -> Fmt.pf ppf "syscall eax=%d" x.syscall
+  | Page_fault -> Mmu.pp_fault ppf (Mmu.pending_fault mmu)
+  | Invalid_opcode -> Fmt.pf ppf "#UD eip=0x%08x opcode=0x%02x" x.ud_eip x.ud_opcode
+  | General_protection -> Fmt.pf ppf "#GP %s" x.gp_reason
 
 let set_flags r v =
   let v = mask32 v in
@@ -58,12 +73,26 @@ let set_flags_signed r diff =
   r.zf <- diff = 0;
   r.sf <- diff < 0
 
-(* the MMU already traced its own faults; #UD and #GP surface here *)
-let trace_trap mmu fault =
+(* The #UD and #GP exits latch their details here; the MMU already traced
+   its own faults, so these two surface in the trace stream from here. *)
+let trace_trap mmu x =
   let obs = Mmu.obs mmu in
   if Obs.enabled obs then
     Obs.event obs ~cat:"cpu" "cpu.trap"
-      ~args:[ ("fault", Obs.Json.Str (Fmt.str "%a" pp_fault fault)) ]
+      ~args:[ ("fault", Obs.Json.Str (Fmt.str "%a" (pp_exit mmu) x)) ]
+
+let invalid_opcode mmu x ~eip ~opcode =
+  x.ud_eip <- eip;
+  x.ud_opcode <- opcode;
+  x.code <- Invalid_opcode;
+  trace_trap mmu x;
+  Invalid_opcode
+
+let general_protection mmu x reason =
+  x.gp_reason <- reason;
+  x.code <- General_protection;
+  trace_trap mmu x;
+  General_protection
 
 let push mmu r v =
   let sp = mask32 (get r ESP - 4) in
@@ -74,13 +103,13 @@ let binop r d v ~next =
   set r d v;
   set_flags r v;
   r.eip <- next;
-  ok_retired
+  No_trap
 
 let jump_if r cond target ~next =
   (match target with
   | Isa.Insn.Rel disp -> r.eip <- (if cond then mask32 (next + disp) else next)
   | Isa.Insn.Lbl _ -> assert false);
-  ok_retired
+  No_trap
 
 (* Commit a control transfer to [target] unless the control-transfer
    monitor (when armed) denies it. The monitor runs after every memory
@@ -88,15 +117,14 @@ let jump_if r cond target ~next =
    instruction past a monitor side effect (a shadow-stack push would
    otherwise happen twice). A denied transfer surfaces as #GP; the monitor
    has already logged why. *)
-let transfer ctrl r kind ~eip ~target ~next =
+let transfer ctrl mmu x r kind ~eip ~target ~next =
   match ctrl with
   | Some f when not (f ~kind ~site:eip ~target ~ret:next) ->
-    Error
-      (General_protection
-         (Fmt.str "cfi: %s site=0x%08x target=0x%08x" (ctrl_kind_name kind) eip target))
+    general_protection mmu x
+      (Fmt.str "cfi: %s site=0x%08x target=0x%08x" (ctrl_kind_name kind) eip target)
   | None | Some _ ->
     r.eip <- target;
-    ok_retired
+    No_trap
 
 (* Execute one already-decoded instruction at [eip] whose encoding is
    [next - eip] bytes. Register state is only committed once every memory
@@ -105,66 +133,68 @@ let transfer ctrl r kind ~eip ~target ~next =
    restart-after-page-fault semantics Algorithms 1 and 2 depend on. Shared
    verbatim between the per-instruction interpreter ([step], which decodes
    first) and the block dispatcher ([run_block], which replays a cached
-   decode), so the two dispatch modes cannot drift. Allocates nothing on
-   the retire path. *)
-let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
+   decode), so the two dispatch modes cannot drift. Returns [No_trap] for
+   a retired instruction, [Syscall] (number latched in [x]) or
+   [General_protection] (reason latched in [x]); a page fault raises
+   [Mmu.Pending_fault]. Allocates nothing except on the #GP path. *)
+let exec_insn ~ctrl mmu x (r : regs) insn ~eip ~next =
   match (insn : Isa.Insn.t) with
   | Nop ->
     r.eip <- next;
-    ok_retired
-  | Hlt -> Error (General_protection "hlt in user mode")
+    No_trap
+  | Hlt -> general_protection mmu x "hlt in user mode"
   | Mov_ri (d, i) ->
     set r d i;
     r.eip <- next;
-    ok_retired
+    No_trap
   | Mov_rr (d, s) ->
     set r d (get r s);
     r.eip <- next;
-    ok_retired
+    No_trap
   | Load (d, b, off) ->
     let v = Mmu.Fast.read32 mmu ~from_user:true (get r b + off) in
     set r d v;
     r.eip <- next;
-    ok_retired
+    No_trap
   | Store (b, off, s) ->
     Mmu.Fast.write32 mmu ~from_user:true (get r b + off) (get r s);
     r.eip <- next;
-    ok_retired
+    No_trap
   | Loadb (d, b, off) ->
     let v = Mmu.Fast.read8 mmu ~from_user:true (get r b + off) in
     set r d v;
     r.eip <- next;
-    ok_retired
+    No_trap
   | Storeb (b, off, s) ->
     Mmu.Fast.write8 mmu ~from_user:true (get r b + off) (get r s land 0xFF);
     r.eip <- next;
-    ok_retired
+    No_trap
   | Push s ->
     push mmu r (get r s);
     r.eip <- next;
-    ok_retired
+    No_trap
   | Pop d ->
     let sp = get r ESP in
     let v = Mmu.Fast.read32 mmu ~from_user:true sp in
     set r ESP (sp + 4);
     set r d v;
     r.eip <- next;
-    ok_retired
+    No_trap
   | Lea (d, b, off) ->
     set r d (get r b + off);
     r.eip <- next;
-    ok_retired
+    No_trap
   | Add (d, s) -> binop r d (get r d + get r s) ~next
   | Sub (d, s) -> binop r d (get r d - get r s) ~next
   | Add_ri (d, i) -> binop r d (get r d + i) ~next
   | Cmp (a, b) ->
     set_flags_signed r (sign32 (get r a) - sign32 (get r b));
     r.eip <- next;
-    ok_retired
+    No_trap
   | Cmp_ri (a, i) ->
     set_flags_signed r (sign32 (get r a) - i);
     r.eip <- next;
-    ok_retired
+    No_trap
   | And_ (d, s) -> binop r d (get r d land get r s) ~next
   | Or_ (d, s) -> binop r d (get r d lor get r s) ~next
   | Xor (d, s) -> binop r d (get r d lxor get r s) ~next
@@ -176,64 +206,94 @@ let exec_insn ~ctrl mmu (r : regs) insn ~eip ~next : (event, fault) result =
   | Jnz t -> jump_if r (not r.zf) t ~next
   | Jl t -> jump_if r r.sf t ~next
   | Jge t -> jump_if r (not r.sf) t ~next
-  | Jmp_r s -> transfer ctrl r Jump_indirect ~eip ~target:(get r s) ~next
+  | Jmp_r s -> transfer ctrl mmu x r Jump_indirect ~eip ~target:(get r s) ~next
   | Call t ->
     let disp = match t with Isa.Insn.Rel d -> d | Isa.Insn.Lbl _ -> assert false in
     push mmu r next;
-    transfer ctrl r Call_direct ~eip ~target:(mask32 (next + disp)) ~next
+    transfer ctrl mmu x r Call_direct ~eip ~target:(mask32 (next + disp)) ~next
   | Call_r s ->
     let target = get r s in
     push mmu r next;
-    transfer ctrl r Call_indirect ~eip ~target ~next
+    transfer ctrl mmu x r Call_indirect ~eip ~target ~next
   | Ret ->
     let sp = get r ESP in
     let v = Mmu.Fast.read32 mmu ~from_user:true sp in
-    let res = transfer ctrl r Return ~eip ~target:v ~next in
-    (match res with Ok _ -> set r ESP (sp + 4) | Error _ -> ());
-    res
+    let code = transfer ctrl mmu x r Return ~eip ~target:v ~next in
+    if code = No_trap then set r ESP (sp + 4);
+    code
   | Int 0x80 ->
     r.eip <- next;
-    Ok (Syscall (get r EAX))
-  | Int n -> Error (General_protection (Fmt.str "int 0x%x unsupported" n))
+    x.syscall <- get r EAX;
+    Syscall
+  | Int n -> general_protection mmu x (Fmt.str "int 0x%x unsupported" n)
 
-(* Decode + execute with a caller-chosen fetch for the instruction bytes,
-   then fold exceptions and the trap-flag bit into a [step]. The shared
-   tail of both [step] and the block dispatcher's fallback path. *)
-let step_with ~ctrl ~fetch mmu (r : regs) =
-  let tf_at_start = r.tf in
-  let exec () =
-    let eip = r.eip in
+(* Decode + execute one instruction with a caller-chosen fetch for its
+   bytes: the byte-at-a-time interpreter, shared by [step] and by the
+   block dispatcher's fallback for negative blocks. Returns the exit code;
+   a page fault anywhere in the fetch or the execution is [Page_fault],
+   its details in the MMU's pending-fault registers (every [Page_fault]
+   raise carries the record just latched there). *)
+let decode_exec ~ctrl ~fetch mmu x (r : regs) =
+  let eip = r.eip in
+  match
     match Isa.Decode.decode ~fetch eip with
-    | Error (Isa.Decode.Bad_opcode op) -> Error (Invalid_opcode { eip; opcode = op })
+    | Error (Isa.Decode.Bad_opcode op) -> invalid_opcode mmu x ~eip ~opcode:op
     | Error (Isa.Decode.Bad_register v) ->
-      Error (General_protection (Fmt.str "bad register field %d at eip=0x%08x" v eip))
+      general_protection mmu x (Fmt.str "bad register field %d at eip=0x%08x" v eip)
     | Error Isa.Decode.Truncated ->
       (* unreachable with this fetch-callback decoder (no end-of-stream);
          the page-edge-bounded block builder *does* see [Truncated] — it
          ends the block there and dispatch falls back to this path, whose
          per-byte fetches fault (or succeed) across the page boundary
          exactly as real hardware would *)
-      Error (Invalid_opcode { eip; opcode = -1 })
-    | Ok insn -> exec_insn ~ctrl mmu r insn ~eip ~next:(eip + Isa.Insn.size insn)
-  in
-  match exec () with
-  | exception Mmu.Pending_fault ->
-    (* the fault record is materialized exactly once, here at the trap
-       boundary — the fast path below allocated nothing *)
-    { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
-  | exception Mmu.Page_fault f -> { outcome = Error (Page f); debug_trap = false }
-  | Error fault as e ->
-    trace_trap mmu fault;
-    { outcome = e; debug_trap = false }
-  | Ok Retired -> if tf_at_start then retired_step_db else retired_step
-  | Ok (Syscall _) as ok -> { outcome = ok; debug_trap = tf_at_start }
+      invalid_opcode mmu x ~eip ~opcode:(-1)
+    | Ok insn -> exec_insn ~ctrl mmu x r insn ~eip ~next:(eip + Isa.Insn.size insn)
+  with
+  | code -> code
+  | exception (Mmu.Pending_fault | Mmu.Page_fault _) -> Page_fault
 
-(* One instruction, byte-at-a-time: the classic interpreter. Kept as a thin
-   wrapper over [exec_insn]/[step_with] so existing callers (the scheduler's
-   per-instruction path, tests, tools) are untouched by the block-dispatch
-   redesign. *)
-let step ?ctrl mmu (r : regs) =
-  step_with ~ctrl ~fetch:(fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a) mmu r
+(* Account one attempted instruction at [eip] that ended with [code]:
+   a retired instruction charges its cycles inline (the caller flushes
+   [retired] into [Cost.insns]), and the retire hook sees every
+   instruction that retired or made a syscall. *)
+let account (env : Exec_env.t) cost x ~eip code =
+  x.attempts <- x.attempts + 1;
+  match code with
+  | No_trap ->
+    env.retire eip;
+    cost.Cost.cycles <- cost.Cost.cycles + cost.Cost.params.Cost.insn;
+    x.retired <- x.retired + 1
+  | Syscall ->
+    env.retire eip;
+    x.code <- Syscall
+  | Page_fault | Invalid_opcode | General_protection -> x.code <- code
+
+let reset (x : exit) =
+  x.attempts <- 0;
+  x.retired <- 0;
+  x.code <- No_trap;
+  x.debug <- false
+
+(* The trap flag's #DB follows an instruction that retired or made a
+   syscall; a faulting instruction raises none. *)
+let set_debug x ~tf = x.debug <- tf && x.attempts > 0 && (x.code = No_trap || x.code = Syscall)
+
+(* One instruction, byte-at-a-time: the classic interpreter, for machines
+   whose block dispatch is off. Leaves exactly the exit registers a
+   one-instruction [run_block] would. *)
+let step mmu (r : regs) =
+  let env = Mmu.env mmu in
+  let x = env.Exec_env.exit in
+  let tf = r.tf and eip = r.eip in
+  reset x;
+  let code =
+    decode_exec ~ctrl:env.Exec_env.ctrl
+      ~fetch:(fun a -> Mmu.Fast.fetch8 mmu ~from_user:true a)
+      mmu x r
+  in
+  account env (Mmu.cost mmu) x ~eip code;
+  set_debug x ~tf;
+  x
 
 (* The block dispatcher's exact fallback for one instruction whose first
    byte has already been translated to packed paddr [pa0] (a negative block:
@@ -242,7 +302,7 @@ let step ?ctrl mmu (r : regs) =
    to the per-instruction interpreter — so it replays only the icache touch
    and the physical read; every later byte goes through the full fast-path
    fetch, faulting across the page boundary exactly as [step] would. *)
-let step_env_at_pa0 (env : Exec_env.t) mmu (r : regs) pa0 =
+let decode_exec_at_pa0 (env : Exec_env.t) mmu x (r : regs) pa0 =
   let eip = r.eip in
   let phys = Mmu.phys mmu in
   let fetch a =
@@ -252,24 +312,14 @@ let step_env_at_pa0 (env : Exec_env.t) mmu (r : regs) pa0 =
     end
     else Mmu.Fast.fetch8 mmu ~from_user:true a
   in
-  step_with ~ctrl:env.Exec_env.ctrl ~fetch mmu r
-
-type block_result = {
-  attempts : int;
-      (** instructions attempted (retired + the trapping one, if any) —
-          the scheduler's quantum/fuel currency, one per [step] the
-          per-instruction path would have taken *)
-  retired : int;  (** plainly retired instructions, charged but undelivered *)
-  pending : step option;
-      (** the trap (or syscall) that ended the run, still to be handed to
-          the kernel's trap dispatch; [None] = ran out of budget *)
-}
+  decode_exec ~ctrl:env.Exec_env.ctrl ~fetch mmu x r
 
 (* Dispatch decoded basic blocks until an instruction traps, the attempt
    budget [max_insns] is exhausted, or the cycle counter reaches
    [tick_limit] (the scheduler's next timer interrupt — checked before
    every instruction, exactly where the per-instruction loop calls
-   [timer_tick]).
+   [timer_tick]). With the trap flag set the budget is one instruction,
+   so Algorithm 2's single step runs out of the block cache too.
 
    Equivalence discipline — every architectural side effect of the
    per-instruction interpreter is replayed, per instruction:
@@ -289,92 +339,72 @@ type block_result = {
      caller from [retired];
    - staleness ([Bbcache.stale]) is checked before every instruction, not
      just at block entry, so self-modifying code that rewrites its own
-     block takes effect at the very next instruction boundary. *)
+     block takes effect at the very next instruction boundary.
+
+   The loop keeps its state in the exit registers and two local refs that
+   never escape (the compiler keeps them in registers): a call allocates
+   nothing unless it builds a block or takes the byte-at-a-time fallback. *)
 let run_block (env : Exec_env.t) mmu (r : regs) ~max_insns ~tick_limit =
   let cache =
     match env.Exec_env.cache with
     | Some c -> c
     | None -> invalid_arg "Cpu.run_block: no block cache installed"
   in
+  let x = env.Exec_env.exit in
+  let ctrl = env.Exec_env.ctrl in
   let cost = Mmu.cost mmu in
-  let insn_cycles = cost.Cost.params.Cost.insn in
   let page_shift = Phys.page_shift (Mmu.phys mmu) in
   let itlb = Mmu.itlb mmu in
   (* Batched fetch accounting is only exact when nothing observes the
      individual byte fetches. *)
   let fast_fetch = env.Exec_env.sample = None && Mmu.icache mmu = None in
-  let attempts = ref 0 in
-  let retired = ref 0 in
-  let pending = ref None in
-  let finish s = pending := Some s in
+  let tf = r.tf in
+  let max_insns = if tf then min max_insns 1 else max_insns in
+  reset x;
   (* the cursor [(cur, idx)] names the instruction expected next, if it
      falls through inside [cur]; [Bbcache.none] means "no current block" *)
-  let rec loop (cur : Bbcache.block) idx =
-    if !attempts < max_insns && cost.Cost.cycles < tick_limit then begin
-      let eip = r.eip in
-      let pa0 = Mmu.translate_result mmu ~from_user:true Mmu.Fetch eip in
-      if pa0 < 0 then begin
-        incr attempts;
-        finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
+  let cur = ref Bbcache.none and idx = ref 0 in
+  while x.code = No_trap && x.attempts < max_insns && cost.Cost.cycles < tick_limit do
+    let eip = r.eip in
+    let pa0 = Mmu.translate_result mmu ~from_user:true Mmu.Fetch eip in
+    if pa0 < 0 then account env cost x ~eip Page_fault
+    else begin
+      let c = !cur and i = !idx in
+      let hit =
+        i < c.Bbcache.n
+        && pa0 = c.Bbcache.b_pa0 + c.Bbcache.offs.(i)
+        && not (Bbcache.stale cache c)
+      in
+      let b = if hit then c else Bbcache.lookup cache pa0 in
+      let i = if hit then i else 0 in
+      if b.Bbcache.n = 0 then begin
+        (* negative block: byte-at-a-time fallback for this one pc *)
+        account env cost x ~eip (decode_exec_at_pa0 env mmu x r pa0);
+        cur := Bbcache.none
       end
       else begin
-        let hit =
-          idx < cur.Bbcache.n
-          && pa0 = cur.Bbcache.b_pa0 + cur.Bbcache.offs.(idx)
-          && not (Bbcache.stale cache cur)
+        let sz = b.Bbcache.sizes.(i) in
+        Mmu.touch_icache mmu pa0;
+        if sz > 1 then
+          if fast_fetch then Tlb.note_hits itlb (mask32 eip lsr page_shift) (sz - 1)
+          else
+            for k = 1 to sz - 1 do
+              let pa = Mmu.translate_result mmu ~from_user:true Mmu.Fetch (eip + k) in
+              Mmu.touch_icache mmu pa
+            done;
+        let code =
+          match exec_insn ~ctrl mmu x r b.Bbcache.insns.(i) ~eip ~next:(eip + sz) with
+          | code -> code
+          | exception (Mmu.Pending_fault | Mmu.Page_fault _) -> Page_fault
         in
-        let b = if hit then cur else Bbcache.lookup cache pa0 in
-        let idx = if hit then idx else 0 in
-        if b.Bbcache.n = 0 then begin
-          (* negative block: byte-at-a-time fallback for this one pc *)
-          let s = step_env_at_pa0 env mmu r pa0 in
-          incr attempts;
-          match s.outcome with
-          | Ok Retired ->
-            env.Exec_env.retire eip;
-            cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
-            incr retired;
-            loop Bbcache.none 0
-          | Ok (Syscall _) ->
-            env.Exec_env.retire eip;
-            finish s
-          | Error _ -> finish s
+        account env cost x ~eip code;
+        if r.eip = eip + sz then begin
+          cur := b;
+          idx := i + 1
         end
-        else begin
-          let insn = b.Bbcache.insns.(idx) in
-          let sz = b.Bbcache.sizes.(idx) in
-          Mmu.touch_icache mmu pa0;
-          if sz > 1 then
-            if fast_fetch then Tlb.note_hits itlb (mask32 eip lsr page_shift) (sz - 1)
-            else
-              for i = 1 to sz - 1 do
-                let pa = Mmu.translate_result mmu ~from_user:true Mmu.Fetch (eip + i) in
-                Mmu.touch_icache mmu pa
-              done;
-          match exec_insn ~ctrl:env.Exec_env.ctrl mmu r insn ~eip ~next:(eip + sz) with
-          | exception Mmu.Pending_fault ->
-            incr attempts;
-            finish { outcome = Error (Page (Mmu.pending_fault mmu)); debug_trap = false }
-          | exception Mmu.Page_fault f ->
-            incr attempts;
-            finish { outcome = Error (Page f); debug_trap = false }
-          | Error fault as e ->
-            incr attempts;
-            trace_trap mmu fault;
-            finish { outcome = e; debug_trap = false }
-          | Ok Retired ->
-            incr attempts;
-            env.Exec_env.retire eip;
-            cost.Cost.cycles <- cost.Cost.cycles + insn_cycles;
-            incr retired;
-            if r.eip = eip + sz then loop b (idx + 1) else loop Bbcache.none 0
-          | Ok (Syscall _) as ok ->
-            incr attempts;
-            env.Exec_env.retire eip;
-            finish { outcome = ok; debug_trap = false }
-        end
+        else cur := Bbcache.none
       end
     end
-  in
-  loop Bbcache.none 0;
-  { attempts = !attempts; retired = !retired; pending = !pending }
+  done;
+  set_debug x ~tf;
+  x

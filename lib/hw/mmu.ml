@@ -7,6 +7,15 @@ let pp_access ppf = function
 
 type hw_pte = { frame : int; present : bool; writable : bool; user : bool; nx : bool }
 
+(* What a pagetable walk returns: a packed TLB word ([Tlb.pack]) plus
+   [Tlb.present_bit], or [no_pte] when nothing is mapped — an int, so a
+   walk allocates nothing. *)
+let no_pte = Tlb.no_entry
+
+let pack_pte (p : hw_pte) =
+  Tlb.pack ~frame:p.frame ~user:p.user ~writable:p.writable ~nx:p.nx
+  lor if p.present then Tlb.present_bit else 0
+
 type fill_mode = Hardware_walk | Software_fill
 
 type fault_kind = Not_present | Protection | Tlb_miss
@@ -20,9 +29,9 @@ let fault_kind_name = function
   | Protection -> "protection"
   | Tlb_miss -> "tlb-miss"
 
-(* The one fault formatter: Cpu.pp_fault and Kernel.Trap.pp route their
-   page-fault arm through here, so trap dispatch, the trace stream and
-   simctl all print the same key=value shape. *)
+(* The one fault formatter: Cpu.pp_exit routes its page-fault arm through
+   here, so trap dispatch, the trace stream and simctl all print the same
+   key=value shape. *)
 let pp_fault ppf f =
   Fmt.pf ppf "#PF addr=0x%08x access=%a kind=%s mode=%s" f.addr pp_access f.access
     (fault_kind_name f.kind)
@@ -50,8 +59,8 @@ type t = {
   cost : Cost.t;
   mutable nx_enabled : bool;
   mutable fill_mode : fill_mode;
-  mutable walk : int -> hw_pte option;
-  mutable walk_code : (int -> hw_pte option) option;
+  mutable walk : int -> int;
+  mutable walk_code : (int -> int) option;
       (* §3.3.1 hardware variant: a second pagetable register (CR3-C) used
          for instruction fetches *)
   mutable icache : Cache.t option;
@@ -80,7 +89,7 @@ type t = {
   mutable pend_from_user : bool;
 }
 
-let no_pagetable _ = None
+let no_pagetable _ = no_pte
 
 let create ?(itlb_capacity = 64) ?(dtlb_capacity = 64) ?(tlb_policy = Tlb.Fifo)
     ~phys ~cost () =
@@ -221,6 +230,12 @@ let pending_fault t =
     from_user = t.pend_from_user;
   }
 
+(* Permission check on a packed TLB entry or walk result. *)
+let denied t ~from_user access e =
+  (from_user && e land Tlb.user_bit = 0)
+  || (access = Write && e land Tlb.writable_bit = 0)
+  || (access = Fetch && t.nx_enabled && e land Tlb.nx_bit <> 0)
+
 (* The non-raising, non-allocating translation core. Permission checks keep
    the x86 order (user, then write, then nx) and are performed against the
    cached TLB entry on a hit and against the PTE on a miss; a violating
@@ -229,9 +244,10 @@ let rec translate_result t ~from_user access vaddr =
   let vaddr = mask32 vaddr in
   let vpn = vaddr lsr Phys.page_shift t.phys in
   let tlb = match access with Fetch -> t.itlb | Read | Write -> t.dtlb in
-  match Tlb.find tlb vpn with
-  | e when e != Tlb.absent ->
-    if match t.tlb_guard with None -> false | Some g -> not (g access e) then begin
+  let e = Tlb.probe tlb vpn in
+  if e >= 0 then
+    if match t.tlb_guard with None -> false | Some g -> not (g access (Tlb.unpack vpn e))
+    then begin
       (* the guard rejected the cached entry as corrupted: drop it and
          retranslate — the retry misses and refills (or faults) from the
          live pagetable. No closure, no box: the fast path stays
@@ -239,48 +255,38 @@ let rec translate_result t ~from_user access vaddr =
       Tlb.invalidate tlb vpn;
       translate_result t ~from_user access vaddr
     end
-    else if
-      (from_user && not e.user)
-      || (access = Write && not e.writable)
-      || (access = Fetch && t.nx_enabled && e.nx)
-    then record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
+    else if denied t ~from_user access e then
+      record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
     else begin
       (match t.env.sample with None -> () | Some h -> h access vpn true);
-      Phys.addr t.phys ~frame:e.frame ~off:(Phys.off_of_addr t.phys vaddr)
+      Phys.addr t.phys ~frame:(Tlb.frame_of e) ~off:(Phys.off_of_addr t.phys vaddr)
     end
-  | _ -> (
-    if t.fill_mode = Software_fill then
-      (* the hardware has no walker: trap to the OS miss handler *)
-      record_fault t ~addr:vaddr ~access ~kind:Tlb_miss ~from_user
+  else if t.fill_mode = Software_fill then
+    (* the hardware has no walker: trap to the OS miss handler *)
+    record_fault t ~addr:vaddr ~access ~kind:Tlb_miss ~from_user
+  else begin
+    Cost.charge_walk t.cost;
+    if Obs.enabled t.obs then begin
+      Obs.count t.obs "mmu.walks";
+      Obs.event t.obs ~cat:"hw" "mmu.walk"
+        ~args:[ ("vpn", Obs.Json.Int vpn); ("tlb", Obs.Json.Str (Tlb.name tlb)) ]
+    end;
+    let p =
+      match (access, t.walk_code) with
+      | Fetch, Some wc -> wc vpn
+      | (Fetch | Read | Write), _ -> t.walk vpn
+    in
+    if p < 0 || p land Tlb.present_bit = 0 then
+      record_fault t ~addr:vaddr ~access ~kind:Not_present ~from_user
+    else if denied t ~from_user access p then
+      record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
     else begin
-      Cost.charge_walk t.cost;
-      if Obs.enabled t.obs then begin
-        Obs.count t.obs "mmu.walks";
-        Obs.event t.obs ~cat:"hw" "mmu.walk"
-          ~args:[ ("vpn", Obs.Json.Int vpn); ("tlb", Obs.Json.Str (Tlb.name tlb)) ]
-      end;
-      let walk =
-        match (access, t.walk_code) with
-        | Fetch, Some wc -> wc
-        | (Fetch | Read | Write), _ -> t.walk
-      in
-      match walk vpn with
-      | None -> record_fault t ~addr:vaddr ~access ~kind:Not_present ~from_user
-      | Some p ->
-        if not p.present then record_fault t ~addr:vaddr ~access ~kind:Not_present ~from_user
-        else if
-          (from_user && not p.user)
-          || (access = Write && not p.writable)
-          || (access = Fetch && t.nx_enabled && p.nx)
-        then record_fault t ~addr:vaddr ~access ~kind:Protection ~from_user
-        else begin
-          if Obs.enabled t.obs then Obs.count t.obs "mmu.fills";
-          Tlb.insert tlb
-            { vpn; frame = p.frame; user = p.user; writable = p.writable; nx = p.nx };
-          (match t.env.sample with None -> () | Some h -> h access vpn false);
-          Phys.addr t.phys ~frame:p.frame ~off:(Phys.off_of_addr t.phys vaddr)
-        end
-    end)
+      if Obs.enabled t.obs then Obs.count t.obs "mmu.fills";
+      Tlb.fill tlb vpn (p land lnot Tlb.present_bit);
+      (match t.env.sample with None -> () | Some h -> h access vpn false);
+      Phys.addr t.phys ~frame:(Tlb.frame_of p) ~off:(Phys.off_of_addr t.phys vaddr)
+    end
+  end
 
 let translate t ~from_user access vaddr =
   let pa = translate_result t ~from_user access vaddr in

@@ -20,7 +20,16 @@ type hw_pte = {
   user : bool;  (** accessible from user mode; false = supervisor-only *)
   nx : bool;  (** execute-disable (only enforced when NX is enabled) *)
 }
-(** The hardware's view of a pagetable entry — what a page walk returns. *)
+(** The hardware's view of a pagetable entry, as a value. A page walk
+    returns it packed: see {!pack_pte}. *)
+
+val no_pte : int
+(** What a walk returns for an unmapped vpn ([-1]). *)
+
+val pack_pte : hw_pte -> int
+(** The packed form a walk returns: {!Tlb.pack} of the entry plus
+    {!Tlb.present_bit} when [present]. A walk is an [int -> int] function
+    so that walking allocates nothing. *)
 
 type fill_mode =
   | Hardware_walk  (** x86: misses are resolved by the hardware page walker *)
@@ -41,9 +50,8 @@ val fault_kind_name : fault_kind -> string
 
 val pp_fault : Format.formatter -> fault -> unit
 (** The canonical fault formatter ([#PF addr=... access=... kind=...
-    mode=...]). {!Cpu.pp_fault} and the kernel's trap pretty-printer route
-    their page-fault arm through this, so every layer prints faults the
-    same way. *)
+    mode=...]). {!Cpu.pp_exit} routes its page-fault arm through this, so
+    every layer prints faults the same way. *)
 
 type t
 
@@ -97,11 +105,12 @@ val kernel_code_write : t -> frame:int -> off:int -> int -> unit
 (** Kernel byte store into a physical frame with coherency effects (icache
     invalidation + pipeline-flush penalty if the line was cached). *)
 
-val reload_cr3 : t -> (int -> hw_pte option) -> unit
-(** Load a new pagetable (the walk function) and flush both TLBs — what a
-    context switch does. Clears any dual-pagetable configuration. *)
+val reload_cr3 : t -> (int -> int) -> unit
+(** Load a new pagetable (the walk function: vpn to packed PTE, see
+    {!pack_pte}) and flush both TLBs — what a context switch does. Clears
+    any dual-pagetable configuration. *)
 
-val reload_cr3_dual : t -> code:(int -> hw_pte option) -> data:(int -> hw_pte option) -> unit
+val reload_cr3_dual : t -> code:(int -> int) -> data:(int -> int) -> unit
 (** The §3.3.1 hardware modification: two pagetable registers, CR3-C
     walked on instruction fetches and CR3-D on data accesses. *)
 

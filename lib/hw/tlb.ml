@@ -1,5 +1,31 @@
 type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
 
+(* A packed entry: the frame number above four flag bits. The hardware
+   page walk ({!Mmu}) returns the same word with [present_bit] added, so a
+   fill stores the walk result as is. *)
+let user_bit = 1
+let writable_bit = 2
+let nx_bit = 4
+let present_bit = 8
+let no_entry = -1
+
+let pack ~frame ~user ~writable ~nx =
+  (frame lsl 4)
+  lor (if user then user_bit else 0)
+  lor (if writable then writable_bit else 0)
+  lor if nx then nx_bit else 0
+
+let frame_of p = p lsr 4
+
+let unpack vpn p =
+  {
+    vpn;
+    frame = frame_of p;
+    user = p land user_bit <> 0;
+    writable = p land writable_bit <> 0;
+    nx = p land nx_bit <> 0;
+  }
+
 type policy = Fifo | Lru
 
 let policy_name = function Fifo -> "fifo" | Lru -> "lru"
@@ -12,21 +38,21 @@ type stats = {
   mutable evictions : int;
 }
 
-(* Fixed slot arrays; a slot is live while [vpns.(s) >= 0]. A fresh
-   insert stamps its slot with the next [clock] value, and under [Lru]
-   every hit re-stamps it, so the victim — the live slot with the smallest
-   stamp — is the vpn whose latest push would sit at the front of the
-   classic replacement queue. The vpn -> slot index is a chained hash of
-   int arrays ([heads] per [vpn land hmask] bucket, [next] per slot): hits
-   and misses cost one short bucket walk, nothing allocates, and [flush]
-   makes only unbarriered int stores. [next] also chains the slots freed
-   by [invalidate], from [free]. *)
+(* Fixed slot arrays; a slot is live while [vpns.(s) >= 0] and holds its
+   packed entry in [ents.(s)]. A fresh fill stamps its slot with the next
+   [clock] value, and under [Lru] every hit re-stamps it, so the victim —
+   the live slot with the smallest stamp — is the vpn whose latest push
+   would sit at the front of the classic replacement queue. The vpn ->
+   slot index is a chained hash of int arrays ([heads] per [vpn land
+   hmask] bucket, [next] per slot): hits, misses and fills cost one short
+   bucket walk, nothing allocates, and every store is an unbarriered int
+   store. [next] also chains the slots freed by [invalidate], from [free]. *)
 type t = {
   name : string;
   capacity : int;
   policy : policy;
   vpns : int array;
-  ents : entry array;
+  ents : int array;
   stamps : int array;
   heads : int array;
   next : int array;
@@ -38,8 +64,6 @@ type t = {
   stats : stats;
 }
 
-let absent = { vpn = -1; frame = 0; user = false; writable = false; nx = false }
-
 let create ?(policy = Fifo) ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   let rec pow2 n = if n >= 4 * capacity then n else pow2 (2 * n) in
@@ -48,7 +72,7 @@ let create ?(policy = Fifo) ~name ~capacity () =
     capacity;
     policy;
     vpns = Array.make capacity (-1);
-    ents = Array.make capacity absent;
+    ents = Array.make capacity no_entry;
     stamps = Array.make capacity 0;
     heads = Array.make (pow2 1) (-1);
     next = Array.make capacity (-1);
@@ -76,24 +100,24 @@ let stamp t s =
   t.stamps.(s) <- t.clock;
   t.clock <- t.clock + 1
 
-(* The MMU's lookup: no [Some] box and no exception; a miss returns the
-   shared [absent] entry. Under [Lru] a hit re-stamps its slot. *)
-let find t vpn =
+(* The MMU's lookup: the packed entry, or [no_entry] on a miss — no box,
+   no exception. Under [Lru] a hit re-stamps its slot. *)
+let probe t vpn =
   match slot t vpn with
   | -1 ->
     t.stats.misses <- t.stats.misses + 1;
-    absent
+    no_entry
   | s ->
     t.stats.hits <- t.stats.hits + 1;
     if t.policy = Lru then stamp t s;
     Array.unsafe_get t.ents s
 
-let lookup t vpn = match find t vpn with e when e == absent -> None | e -> Some e
+let lookup t vpn = match probe t vpn with -1 -> None | p -> Some (unpack vpn p)
 
 (* Bulk hit accounting for the block-dispatch fast path: the caller has
    already proven the next [n] lookups of [vpn] would all hit (the entry is
    resident and nothing can evict it in between), so fold them into one
-   call. Observably identical to [n] consecutive [find]s: the hit counter
+   call. Observably identical to [n] consecutive [probe]s: the hit counter
    advances by [n] and, under LRU, the slot ends up with the newest stamp. *)
 let note_hits t vpn n =
   if n > 0 then begin
@@ -103,7 +127,7 @@ let note_hits t vpn n =
       if s >= 0 then stamp t s
   end
 
-let peek t vpn = match slot t vpn with -1 -> None | s -> Some t.ents.(s)
+let peek t vpn = match slot t vpn with -1 -> None | s -> Some (unpack vpn t.ents.(s))
 
 (* The slot with the smallest stamp; only called when every slot is live. *)
 let rec victim t s best =
@@ -119,10 +143,10 @@ let release t s =
   t.vpns.(s) <- -1;
   t.live <- t.live - 1
 
-let insert t (e : entry) =
-  if e.vpn < 0 then invalid_arg "Tlb.insert: negative vpn";
-  let s = slot t e.vpn in
-  if s >= 0 then t.ents.(s) <- e
+(* Store packed entry [p] for [vpn]: the MMU's allocation-free fill. *)
+let fill t vpn p =
+  let s = slot t vpn in
+  if s >= 0 then t.ents.(s) <- p
   else begin
     let s =
       if t.live = t.capacity then begin
@@ -141,14 +165,19 @@ let insert t (e : entry) =
         t.used - 1
       end
     in
-    let h = e.vpn land t.hmask in
-    t.vpns.(s) <- e.vpn;
-    t.ents.(s) <- e;
+    let h = vpn land t.hmask in
+    t.vpns.(s) <- vpn;
+    t.ents.(s) <- p;
     t.next.(s) <- t.heads.(h);
     t.heads.(h) <- s;
     t.live <- t.live + 1;
     stamp t s
   end
+
+let insert t (e : entry) =
+  if e.vpn < 0 then invalid_arg "Tlb.insert: negative vpn";
+  if e.frame < 0 then invalid_arg "Tlb.insert: negative frame";
+  fill t e.vpn (pack ~frame:e.frame ~user:e.user ~writable:e.writable ~nx:e.nx)
 
 let live_slots t = List.filter (fun s -> t.vpns.(s) >= 0) (List.init t.used Fun.id)
 
@@ -156,13 +185,16 @@ let live_slots t = List.filter (fun s -> t.vpns.(s) >= 0) (List.init t.used Fun.
    without touching statistics or stamps — a tampered entry must age
    exactly like the original would have. *)
 let entries t =
-  List.map (fun s -> t.ents.(s)) (live_slots t) |> List.sort (fun a b -> compare a.vpn b.vpn)
+  List.map (fun s -> unpack t.vpns.(s) t.ents.(s)) (live_slots t)
+  |> List.sort (fun a b -> compare a.vpn b.vpn)
 
 let tamper t vpn f =
   match slot t vpn with
   | -1 -> false
   | s ->
-    t.ents.(s) <- { (f t.ents.(s)) with vpn };
+    let e = f (unpack vpn t.ents.(s)) in
+    if e.frame < 0 then invalid_arg "Tlb.tamper: negative frame";
+    t.ents.(s) <- pack ~frame:e.frame ~user:e.user ~writable:e.writable ~nx:e.nx;
     true
 
 let invalidate t vpn =

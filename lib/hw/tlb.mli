@@ -8,6 +8,28 @@
     TLBs can deliberately be driven out of sync. *)
 
 type entry = { vpn : int; frame : int; user : bool; writable : bool; nx : bool }
+(** An entry as a value, for tools, tests and snapshots. The TLB itself
+    stores packed entries (below). *)
+
+(** {2 Packed entries}
+
+    A packed entry is one [int]: the frame number shifted left by 4 over
+    the permission bits. The hardware page walk ({!Mmu.reload_cr3})
+    returns the same word with {!present_bit} set, so a fill stores the
+    walk's result as it is. *)
+
+val user_bit : int
+val writable_bit : int
+val nx_bit : int
+val present_bit : int
+
+val no_entry : int
+(** [-1]: what {!probe} returns on a miss. *)
+
+val pack : frame:int -> user:bool -> writable:bool -> nx:bool -> int
+val frame_of : int -> int
+val unpack : int -> int -> entry
+(** [unpack vpn p] is the entry value of packed [p]. *)
 
 (** Replacement policy. [Fifo] (the default): entries age in insertion
     order. [Lru]: every hit renews the entry's age, so the
@@ -36,20 +58,18 @@ val policy : t -> policy
 val size : t -> int
 val stats : t -> stats
 
-val absent : entry
-(** What {!find} returns on a miss (compare with [==]); its vpn is [-1]. *)
-
-val find : t -> int -> entry
-(** Lookup by virtual page number; updates hit/miss statistics and returns
-    {!absent} on a miss. The MMU's allocation-free lookup. *)
+val probe : t -> int -> int
+(** Lookup by virtual page number; updates hit/miss statistics (and the
+    LRU age) and returns the packed entry, or {!no_entry} on a miss. The
+    MMU's allocation-free lookup. *)
 
 val lookup : t -> int -> entry option
-(** {!find} with the result boxed in an [option]. *)
+(** {!probe} with the result unpacked into an [option]. *)
 
 val note_hits : t -> int -> int -> unit
 (** [note_hits t vpn n] accounts for [n] guaranteed hits on [vpn] without
     performing the lookups: hits advance by [n] and, under {!Lru}, the
-    entry's age is renewed exactly as [n] consecutive {!find}s would
+    entry's age is renewed exactly as [n] consecutive {!probe}s would
     renew it. The caller must know the entry is resident and cannot be
     evicted across the folded window — the block-dispatch contract for the
     trailing bytes of a page-bounded instruction. *)
@@ -57,10 +77,16 @@ val note_hits : t -> int -> int -> unit
 val peek : t -> int -> entry option
 (** Lookup without touching statistics (for tests and assertions). *)
 
+val fill : t -> int -> int -> unit
+(** [fill t vpn p] stores packed entry [p] for [vpn] (replacing any entry
+    for the same vpn, which keeps its age); when full, evicts the live
+    entry with the oldest age under the replacement {!policy}. The MMU's
+    allocation-free fill: [vpn] and the frame of [p] must be
+    non-negative. *)
+
 val insert : t -> entry -> unit
-(** Insert (replacing any entry for the same vpn, which keeps its age);
-    when full, evicts the live entry with the oldest age under the
-    replacement {!policy}. @raise Invalid_argument on a negative vpn. *)
+(** {!fill} from an entry value. @raise Invalid_argument on a negative
+    vpn or frame. *)
 
 val entries : t -> entry list
 (** Live entries sorted by vpn, without touching statistics — the
@@ -69,7 +95,8 @@ val entries : t -> entry list
 val tamper : t -> int -> (entry -> entry) -> bool
 (** [tamper t vpn f] replaces the entry for [vpn] with [f entry] in place
     (the vpn itself cannot be changed), bypassing statistics and ages.
-    Returns [false] if no entry is cached for [vpn]. This is the
+    Returns [false] if no entry is cached for [vpn]; raises
+    [Invalid_argument] if [f] returns a negative frame. This is the
     fault-injection surface: it models a bit flip inside a TLB cell, not an
     architectural insert. *)
 

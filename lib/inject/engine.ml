@@ -83,9 +83,8 @@ let guard e access (entry : Hw.Tlb.entry) =
          (match pte with
          | Some pte
            when Split_memory.Splitter.is_active_split pte && pte.user
-                && (match p.pending_fault_addr with
-                   | Some a -> a / e.m.page_size <> entry.vpn
-                   | None -> true) ->
+                && (p.pending_fault_addr = K.Proc.no_fault_addr
+                   || p.pending_fault_addr / e.m.page_size <> entry.vpn) ->
            K.Pte.restrict pte
          | _ -> ());
          record_detection e ~pid:p.pid ~kind:"tlb-desync" ~action:"resync"

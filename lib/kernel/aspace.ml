@@ -20,15 +20,45 @@ type t = {
   mutable regions : region list;
   mutable brk : int;
   mutable mmap_cursor : int;
+  walker : int -> int;
+  code_walker : int -> int;
+  data_walker : int -> int;
 }
 
+(* The hardware page walks (packed PTEs, [Hw.Mmu.no_pte] when unmapped):
+   one [Hashtbl.find] and int arithmetic, no [Some], no record. *)
+let walk_ptes ptes vpn =
+  match Hashtbl.find ptes vpn with
+  | p -> Pte.packed p
+  | exception Not_found -> Hw.Mmu.no_pte
+
+(* Hardware-split views (§3.3.1): the code pagetable maps split pages to
+   their code copy, the data pagetable to their data copy; everything else
+   is shared. Both views are user-accessible — with dedicated hardware
+   there is nothing to trap. *)
+let walk_code_ptes ptes vpn =
+  match Hashtbl.find ptes vpn with
+  | p -> Pte.packed_at p ~frame:(Pte.code_frame p) ~user:true
+  | exception Not_found -> Hw.Mmu.no_pte
+
+let walk_data_ptes ptes vpn =
+  match Hashtbl.find ptes vpn with
+  | p -> Pte.packed_at p ~frame:(Pte.data_frame p) ~user:true
+  | exception Not_found -> Hw.Mmu.no_pte
+
+(* The walk closures are built once here, so a context switch loads the
+   pagetable register without allocating. *)
 let create ~page_size =
+  let ptes = Hashtbl.create 64 in
   {
     page_size;
-    ptes = Hashtbl.create 64;
+    ptes;
     regions = [];
     brk = Layout.heap_base;
     mmap_cursor = Layout.mmap_base;
+    walker = walk_ptes ptes;
+    code_walker = walk_code_ptes ptes;
+    data_walker = walk_data_ptes ptes;
   }
 
 let page_size t = t.page_size
@@ -42,21 +72,7 @@ let remove_pte t vpn = Hashtbl.remove t.ptes vpn
 let iter_ptes t f = Hashtbl.iter (fun _ p -> f p) t.ptes
 let mapped_count t = Hashtbl.length t.ptes
 
-let walk t vpn = Option.map Pte.to_hw (pte t vpn)
-
-(* Hardware-split views (§3.3.1): the code pagetable maps split pages to
-   their code copy, the data pagetable to their data copy; everything else
-   is shared. Both views are user-accessible — with dedicated hardware
-   there is nothing to trap. *)
-let walk_code_view t vpn =
-  Option.map
-    (fun (p : Pte.t) -> { (Pte.to_hw p) with frame = Pte.code_frame p; user = true })
-    (pte t vpn)
-
-let walk_data_view t vpn =
-  Option.map
-    (fun (p : Pte.t) -> { (Pte.to_hw p) with frame = Pte.data_frame p; user = true })
-    (pte t vpn)
+let walk t vpn = t.walker vpn
 
 (* Contents a freshly demand-mapped page should start with: the matching
    slice of the backing image segment (zero-padded), or zeros. The blit

@@ -25,6 +25,12 @@ type t = {
   mutable regions : region list;
   mutable brk : int;
   mutable mmap_cursor : int;
+  walker : int -> int;  (** [walk t], built once by {!create} *)
+  code_walker : int -> int;
+      (** §3.3.1 dual-pagetable hardware, the CR3-C view: split pages
+          resolve to their code copy, unrestricted; built once *)
+  data_walker : int -> int;
+      (** the CR3-D view: split pages resolve to their data copy *)
 }
 
 val create : page_size:int -> t
@@ -38,16 +44,10 @@ val remove_pte : t -> int -> unit
 val iter_ptes : t -> (Pte.t -> unit) -> unit
 val mapped_count : t -> int
 
-val walk : t -> int -> Hw.Mmu.hw_pte option
-(** The hardware page-walk view of this address space (feed to
-    {!Hw.Mmu.reload_cr3}). *)
-
-val walk_code_view : t -> int -> Hw.Mmu.hw_pte option
-(** §3.3.1 dual-pagetable hardware: the CR3-C view — split pages resolve
-    to their code copy, unrestricted. *)
-
-val walk_data_view : t -> int -> Hw.Mmu.hw_pte option
-(** The CR3-D view — split pages resolve to their data copy. *)
+val walk : t -> int -> int
+(** The hardware page-walk view of this address space: vpn to packed PTE
+    ({!Hw.Mmu.pack_pte}), {!Hw.Mmu.no_pte} when unmapped. Allocates
+    nothing; feed [t.walker] to {!Hw.Mmu.reload_cr3}. *)
 
 val page_content : t -> region -> int -> string
 (** Initial contents for demand-mapping [vpn] of [region]. *)

@@ -122,16 +122,10 @@ let unrestrict t vpn = update t vpn (fun e -> e lor p_user)
    physical memory, then the permission bits. *)
 let walk t vpn =
   match entry t vpn with
-  | None -> None
+  | None -> Hw.Mmu.no_pte
   | Some e ->
-    Some
-      {
-        Hw.Mmu.frame = frame_of e;
-        present = true;
-        writable = writable e;
-        user = user e;
-        nx = nx e;
-      }
+    Hw.Tlb.pack ~frame:(frame_of e) ~user:(user e) ~writable:(writable e) ~nx:(nx e)
+    lor Hw.Tlb.present_bit
 
 let free t =
   for idx = 0 to entries_per_table - 1 do

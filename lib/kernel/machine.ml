@@ -49,6 +49,7 @@ type t = {
   cost : Hw.Cost.t;
   log : Event_log.t;
   protection : Protection.t;
+  ctx : Protection.ctx;  (* what the protection hooks get; built once *)
   procs : (int, Proc.t) Hashtbl.t;
   (* parent pid -> live child pids, ascending — keeps [children_of]
      O(children) instead of a full-table scan. Maintained by fork/reap,
@@ -60,7 +61,7 @@ type t = {
      pipe the machine owns); [Sched.wake] drains, rechecks and enqueues.
      May hold duplicates and stale/ready-anyway pids — the recheck filters,
      so a spurious entry is harmless. *)
-  mutable pending_wakeups : int list;
+  pending_wakeups : Intq.t;
   mutable wakeup_sink : int -> unit;
   (* Processes blocked on [Proc.Sleep], as (wake_cycle, pid) sorted
      ascending — the earliest deadline is the head. The scheduler pops
@@ -79,7 +80,7 @@ type t = {
   mutable image_memo : (Image.t * (bool * (int * string) list)) list;
   libraries : (string, library) Hashtbl.t;
   mutable lib_cursor : int;
-  runq : int Queue.t;
+  runq : Intq.t;
   mutable rng : Random.State.t;
   page_size : int;
   quantum : int;
@@ -174,6 +175,7 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
   in
   env.Hw.Exec_env.cache <- bbcache;
   let log = Event_log.create () in
+  let alloc = Frame_alloc.create phys in
   let hot =
     if not (Obs.enabled obs) then None
     else begin
@@ -199,23 +201,24 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
   let t =
     {
       phys;
-      alloc = Frame_alloc.create phys;
+      alloc;
       mmu;
       env;
       bbcache;
       cost;
       log;
       protection;
+      ctx = { phys; alloc; mmu; cost; log; obs };
       procs = Hashtbl.create 8;
       children_index = Hashtbl.create 8;
-      pending_wakeups = [];
+      pending_wakeups = Intq.create ();
       wakeup_sink = ignore;
       sleepers = [];
       share_images;
       image_memo = [];
       libraries = Hashtbl.create 4;
     lib_cursor = Layout.lib_base + 0x100000;
-    runq = Queue.create ();
+    runq = Intq.create ();
     rng = Random.State.make [| seed |];
     page_size;
     quantum;
@@ -235,11 +238,10 @@ let create ?(frames = 8192) ?(page_size = 4096) ?(quantum = 200) ?cost_params
       switch_hook = None;
     }
   in
-  t.wakeup_sink <- (fun pid -> t.pending_wakeups <- pid :: t.pending_wakeups);
+  t.wakeup_sink <- Intq.push t.pending_wakeups;
   t
 
-let ctx t : Protection.ctx =
-  { phys = t.phys; alloc = t.alloc; mmu = t.mmu; cost = t.cost; log = t.log; obs = t.obs }
+let ctx t = t.ctx
 
 let proc t pid = Hashtbl.find_opt t.procs pid
 
@@ -284,7 +286,7 @@ let children_of t parent =
 let enqueue t (p : Proc.t) =
   if not p.in_runq then begin
     p.in_runq <- true;
-    Queue.add p.pid t.runq
+    Intq.push t.runq p.pid
   end
 
 (* Remove a reaped zombie from the table and both sides of the children
@@ -315,6 +317,16 @@ let attach_proc_pipes t (p : Proc.t) =
       | Proc.Read_end pipe | Proc.Write_end pipe -> attach_pipe t pipe)
     p.fds
 
+(* Sorted (deadline, pid) insert: keeps the earliest wake-up at the head;
+   O(sleepers) per insert is fine at serving-benchmark concurrency, and the
+   canonical order makes restore-time re-registration bit-identical to the
+   live run. Compares the ints, not the tuples. *)
+let rec insert_sleeper until_ pid = function
+  | [] -> [ (until_, pid) ]
+  | ((u, q) as hd) :: tl ->
+    if u < until_ || (u = until_ && q <= pid) then hd :: insert_sleeper until_ pid tl
+    else (until_, pid) :: hd :: tl
+
 (* Register a blocked process where its wake condition can actually flip:
    the pipe behind the fd for I/O waits; nowhere for child waits (the
    zombie transition in [terminate] notifies the parent directly). A
@@ -322,50 +334,39 @@ let attach_proc_pipes t (p : Proc.t) =
    the pending list for the next boundary's recheck. *)
 let register_wait t (p : Proc.t) = function
   | Proc.Read_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Read_end pipe) -> Pipe.add_read_waiter pipe p.pid
-    | Some (Write_end _) | None -> t.wakeup_sink p.pid)
+    match Hashtbl.find p.fds fd with
+    | Read_end pipe -> Pipe.add_read_waiter pipe p.pid
+    | Write_end _ -> t.wakeup_sink p.pid
+    | exception Not_found -> t.wakeup_sink p.pid)
   | Proc.Write_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Write_end pipe) -> Pipe.add_write_waiter pipe p.pid
-    | Some (Read_end _) | None -> t.wakeup_sink p.pid)
+    match Hashtbl.find p.fds fd with
+    | Write_end pipe -> Pipe.add_write_waiter pipe p.pid
+    | Read_end _ -> t.wakeup_sink p.pid
+    | exception Not_found -> t.wakeup_sink p.pid)
   | Proc.Child _ -> ()
-  | Proc.Sleep until_ ->
-    (* sorted (deadline, pid) insert keeps the earliest wake-up at the
-       head; O(sleepers) per insert is fine at serving-benchmark
-       concurrency, and the canonical order makes restore-time
-       re-registration bit-identical to the live run *)
-    let rec ins = function
-      | [] -> [ (until_, p.pid) ]
-      | ((u, q) as hd) :: tl ->
-        if (u, q) <= (until_, p.pid) then hd :: ins tl
-        else (until_, p.pid) :: hd :: tl
-    in
-    t.sleepers <- ins t.sleepers
+  | Proc.Sleep until_ -> t.sleepers <- insert_sleeper until_ p.pid t.sleepers
 
 (* Pop every sleeper whose deadline has passed onto the pending-wakeup
    list; the next boundary recheck makes them runnable (a [Proc.Sleep]
    condition is ready once the clock reaches its deadline). *)
-let expire_sleepers t =
-  let now = t.cost.Hw.Cost.cycles in
-  let rec pop = function
-    | (until_, pid) :: rest when until_ <= now ->
-      t.wakeup_sink pid;
-      pop rest
-    | rest -> t.sleepers <- rest
-  in
-  pop t.sleepers
+let rec expire_sleepers t =
+  match t.sleepers with
+  | (until_, pid) :: rest when until_ <= t.cost.Hw.Cost.cycles ->
+    t.sleepers <- rest;
+    t.wakeup_sink pid;
+    expire_sleepers t
+  | _ -> ()
 
 (* Earliest genuine sleeper deadline, dropping stale head entries (a pid
    that was restored, re-slept or already woke through another path) as a
-   side effect. [None] means nobody is sleeping. *)
+   side effect. [-1] means nobody is sleeping. *)
 let rec earliest_sleeper t =
   match t.sleepers with
-  | [] -> None
+  | [] -> -1
   | (until_, pid) :: rest -> (
-    match proc t pid with
-    | Some p when p.state = Proc.Blocked (Proc.Sleep until_) -> Some until_
-    | _ ->
+    match Hashtbl.find t.procs pid with
+    | { Proc.state = Proc.Blocked (Proc.Sleep u); _ } when u = until_ -> until_
+    | _ | (exception Not_found) ->
       t.sleepers <- rest;
       earliest_sleeper t)
 
@@ -376,7 +377,7 @@ let rec earliest_sleeper t =
 let map_demand_page t (p : Proc.t) (region : Aspace.region) vpn =
   let finish frame =
     let pte = Pte.make ~vpn ~kind:region.kind ~frame ~writable:region.writable in
-    if p.protected_ then t.protection.on_page_mapped (ctx t) p region pte;
+    if p.protected_ then t.protection.on_page_mapped t.ctx p region pte;
     Aspace.set_pte p.aspace pte;
     pte
   in
@@ -445,49 +446,53 @@ let ensure_mapped_for_kernel t (p : Proc.t) vpn ~write =
    [addr, addr+len), in ascending order, it services the page
    ([ensure_mapped_for_kernel]: Efault, COW, demand mapping) before [f]
    touches it, so a fault on a later page leaves the earlier pages copied.
-   [f] gets the data frame, the in-page offset, the chunk length and the
-   chunk's position in the range, and returns [false] to stop there. *)
-let walk_user t p addr len ~write f =
-  let shift = Hw.Phys.page_shift t.phys and mask = t.page_size - 1 in
-  let rec go pos =
-    if pos < len then begin
-      let a = addr + pos in
-      let off = a land mask in
-      let chunk = min (len - pos) (t.page_size - off) in
-      let pte = ensure_mapped_for_kernel t p (a lsr shift) ~write in
-      if f (Pte.data_frame pte) off chunk pos then go (pos + chunk)
-    end
-  in
-  go 0
+   [f] gets the machine, the caller's buffer [buf], the data frame, the
+   in-page offset, the chunk length and the chunk's position in the range,
+   and returns [false] to stop there. Callers pass closed functions, so a
+   copy allocates no closure. *)
+let rec walk_user t p addr len ~write buf f pos =
+  if pos < len then begin
+    let a = addr + pos in
+    let off = a land (t.page_size - 1) in
+    let chunk = min (len - pos) (t.page_size - off) in
+    let pte = ensure_mapped_for_kernel t p (a lsr Hw.Phys.page_shift t.phys) ~write in
+    if f t buf (Pte.data_frame pte) off chunk pos then
+      walk_user t p addr len ~write buf f (pos + chunk)
+  end
 
 let copy_from_user t p addr len =
   let dst = Bytes.create (max 0 len) in
-  walk_user t p addr len ~write:false (fun frame off chunk pos ->
+  walk_user t p addr len ~write:false dst
+    (fun t dst frame off chunk pos ->
       Hw.Phys.read_into t.phys ~frame ~off ~len:chunk dst ~pos;
-      true);
+      true)
+    0;
   Bytes.unsafe_to_string dst
 
 let copy_to_user t p addr s =
-  walk_user t p addr (String.length s) ~write:true (fun frame off chunk pos ->
+  walk_user t p addr (String.length s) ~write:true s
+    (fun t s frame off chunk pos ->
       Hw.Phys.blit_from_string t.phys ~frame ~off ~pos ~len:chunk s;
       true)
+    0
 
 (* Byte reads within each page: a range read would scrub (ECC-correct)
    bytes past the terminating NUL that the string never touches. *)
+let rec scan_cstring t buf frame off chunk i =
+  if i >= chunk then true
+  else
+    let b = Hw.Phys.read8 t.phys ~frame ~off:(off + i) in
+    if b = 0 then false
+    else begin
+      Buffer.add_char buf (Char.chr b);
+      scan_cstring t buf frame off chunk (i + 1)
+    end
+
 let read_cstring t p addr ~max =
   let buf = Buffer.create 16 in
-  walk_user t p addr max ~write:false (fun frame off chunk _ ->
-      let rec scan i =
-        if i >= chunk then true
-        else
-          let b = Hw.Phys.read8 t.phys ~frame ~off:(off + i) in
-          if b = 0 then false
-          else begin
-            Buffer.add_char buf (Char.chr b);
-            scan (i + 1)
-          end
-      in
-      scan 0);
+  walk_user t p addr max ~write:false buf
+    (fun t buf frame off chunk _ -> scan_cstring t buf frame off chunk 0)
+    0;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -748,7 +753,7 @@ let do_fork t (parent : Proc.t) =
 (* ------------------------------------------------------------------ *)
 
 let sebek_trace t (p : Proc.t) name info =
-  if p.sebek_active then Event_log.add t.log (Syscall_traced { pid = p.pid; name; info = info () })
+  Event_log.add t.log (Syscall_traced { pid = p.pid; name; info })
 
 let preview s =
   let n = String.length s in
@@ -767,10 +772,8 @@ let block t (p : Proc.t) cond =
 
 let load_pagetables t (p : Proc.t) =
   if t.protection.dual_pagetables then
-    Hw.Mmu.reload_cr3_dual t.mmu
-      ~code:(Aspace.walk_code_view p.aspace)
-      ~data:(Aspace.walk_data_view p.aspace)
-  else Hw.Mmu.reload_cr3 t.mmu (Aspace.walk p.aspace)
+    Hw.Mmu.reload_cr3_dual t.mmu ~code:p.aspace.code_walker ~data:p.aspace.data_walker
+  else Hw.Mmu.reload_cr3 t.mmu p.aspace.walker
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot support: raw registry exposure                             *)
@@ -808,7 +811,7 @@ let replace_procs t ps =
      still blocked on [Sleep] re-inserts it (register_wait), and the
      sorted insert reproduces the canonical order. *)
   t.sleepers <- [];
-  t.pending_wakeups <- [];
+  Intq.clear t.pending_wakeups;
   List.iter
     (fun (p : Proc.t) ->
       match p.state with Proc.Blocked _ -> t.wakeup_sink p.pid | _ -> ())

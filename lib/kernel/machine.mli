@@ -57,12 +57,15 @@ type t = {
   cost : Hw.Cost.t;
   log : Event_log.t;
   protection : Protection.t;
+  ctx : Protection.ctx;
+      (** the protection hooks' view of this machine, built once by
+          {!create} (every field it copies is immutable) *)
   procs : (int, Proc.t) Hashtbl.t;
   children_index : (int, int list) Hashtbl.t;
       (** parent pid -> live child pids, ascending — [children_of] is
           O(children). Maintained by fork/{!reap}; rebuilt by
           {!replace_procs} *)
-  mutable pending_wakeups : int list;
+  pending_wakeups : Intq.t;
       (** pids whose blocking condition may have flipped since the last
           scheduler boundary (pipe activity, zombie transitions); drained
           and rechecked by [Sched.wake]. Duplicates and stale pids are
@@ -85,7 +88,7 @@ type t = {
           independent of image size *)
   libraries : (string, library) Hashtbl.t;
   mutable lib_cursor : int;
-  runq : int Queue.t;
+  runq : Intq.t;
   mutable rng : Random.State.t;
   page_size : int;
   quantum : int;
@@ -179,9 +182,9 @@ val expire_sleepers : t -> unit
 (** Pop every sleeper whose deadline has passed onto the pending-wakeup
     list; called at each scheduler boundary. *)
 
-val earliest_sleeper : t -> int option
+val earliest_sleeper : t -> int
 (** Earliest genuine sleeper deadline (dropping stale head entries);
-    [None] when nobody is sleeping. Drives the scheduler's tickless idle
+    [-1] when nobody is sleeping. Drives the scheduler's tickless idle
     jump when the run queue is empty. *)
 
 val map_demand_page : t -> Proc.t -> Aspace.region -> int -> Pte.t
@@ -213,10 +216,11 @@ val connect : ?capacity:int -> t -> Proc.t -> Proc.t -> unit
 val do_fork : t -> Proc.t -> int
 (** Fork [parent]; returns the child pid. *)
 
-val sebek_trace : t -> Proc.t -> string -> (unit -> string) -> unit
-(** Covert per-syscall logging when the process is sebek-tagged. The info
-    text is built (the thunk called) only then: untraced processes pay no
-    formatting. *)
+val sebek_trace : t -> Proc.t -> string -> string -> unit
+(** [sebek_trace t p name info] logs one covert per-syscall record. Callers
+    check [p.sebek_active] first, so the info text is built only for
+    sebek-tagged processes: untraced ones pay no formatting and no
+    closure. *)
 
 val preview : string -> string
 (** Printable, truncated preview of guest bytes for log lines: the first

@@ -42,7 +42,7 @@ type t = {
   mutable in_runq : bool;
   mutable p_insns : int;
   mutable next_fd : int;
-  mutable pending_fault_addr : int option;
+  mutable pending_fault_addr : int;  (* [no_fault_addr] = none *)
   mutable sebek_active : bool;
   mutable parent : int option;
   mutable detections : int;
@@ -55,6 +55,8 @@ type t = {
          forensic trace ring. Built once here so arming it each quantum is
          a field write, not a closure allocation. *)
 }
+
+let no_fault_addr = -1
 
 (* A power of two, so the ring index wraps with a mask. Every [trace] has
    exactly this length; snapshot decoding rejects any other. *)
@@ -83,7 +85,7 @@ let create ~pid ~name ~aspace =
       in_runq = false;
       p_insns = 0;
       next_fd = 3;
-      pending_fault_addr = None;
+      pending_fault_addr = no_fault_addr;
       sebek_active = false;
       parent = None;
       detections = 0;

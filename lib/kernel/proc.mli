@@ -37,8 +37,10 @@ type t = {
       (** instructions retired by this process (maintained by the
           scheduler; not serialized — resets to 0 on snapshot restore) *)
   mutable next_fd : int;
-  mutable pending_fault_addr : int option;
-      (** set by Algorithm 1's code branch; consumed by Algorithm 2 *)
+  mutable pending_fault_addr : int;
+      (** set by Algorithm 1's code branch, consumed by Algorithm 2;
+          {!no_fault_addr} when none is pending (an int, so arming the
+          single step allocates nothing) *)
   mutable sebek_active : bool;  (** post-detection syscall tracing enabled *)
   mutable parent : int option;
   mutable detections : int;  (** injection detections against this process *)
@@ -57,6 +59,9 @@ type t = {
           {!record_trace}. Built once at creation so the scheduler can arm
           it each quantum with a field write, not a closure allocation. *)
 }
+
+val no_fault_addr : int
+(** [-1]: no Algorithm 1 fetch fault awaits its single step. *)
 
 val trace_ring_size : int
 (** Length of every process's [trace] ring; a power of two. *)

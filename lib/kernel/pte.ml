@@ -47,6 +47,14 @@ let make ~vpn ~kind ~frame ~writable =
 let to_hw t : Hw.Mmu.hw_pte =
   { frame = t.frame; present = t.present; writable = t.writable; user = t.user; nx = t.nx }
 
+(* The packed walk result ({!Hw.Mmu.pack_pte}) for this PTE's permission
+   bits over [frame]: a walk returns an int, not a record. *)
+let packed_at t ~frame ~user =
+  Hw.Tlb.pack ~frame ~user ~writable:t.writable ~nx:t.nx
+  lor if t.present then Hw.Tlb.present_bit else 0
+
+let packed t = packed_at t ~frame:t.frame ~user:t.user
+
 let is_split t = t.split <> None
 
 let restrict t = t.user <- false

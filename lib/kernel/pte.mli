@@ -33,6 +33,15 @@ type t = {
 
 val make : vpn:int -> kind:kind -> frame:int -> writable:bool -> t
 val to_hw : t -> Hw.Mmu.hw_pte
+
+val packed : t -> int
+(** What the hardware page walk sees, packed ({!Hw.Mmu.pack_pte} of
+    {!to_hw}) — allocation-free. *)
+
+val packed_at : t -> frame:int -> user:bool -> int
+(** {!packed} with the frame and user bit replaced (the §3.3.1 split
+    views). *)
+
 val is_split : t -> bool
 val restrict : t -> unit
 (** Set supervisor-only — user accesses fault on the next TLB miss. *)

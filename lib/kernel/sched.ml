@@ -13,13 +13,15 @@ type stop_reason = All_exited | All_blocked | Fuel_exhausted
 let ready (m : M.t) (p : Proc.t) cond =
   match cond with
   | Proc.Read_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Read_end pipe) -> not (Pipe.is_empty pipe) || not (Pipe.has_writers pipe)
-    | Some (Write_end _) | None -> true)
+    match Hashtbl.find p.fds fd with
+    | Read_end pipe -> not (Pipe.is_empty pipe) || not (Pipe.has_writers pipe)
+    | Write_end _ -> true
+    | exception Not_found -> true)
   | Proc.Write_fd fd -> (
-    match Proc.fd p fd with
-    | Some (Write_end pipe) -> Pipe.space pipe > 0 || not (Pipe.has_readers pipe)
-    | Some (Read_end _) | None -> true)
+    match Hashtbl.find p.fds fd with
+    | Write_end pipe -> Pipe.space pipe > 0 || not (Pipe.has_readers pipe)
+    | Read_end _ -> true
+    | exception Not_found -> true)
   | Proc.Child target ->
     let children =
       List.filter (fun (c : Proc.t) -> target = 0 || c.pid = target) (M.children_of m p)
@@ -27,37 +29,41 @@ let ready (m : M.t) (p : Proc.t) cond =
     children = [] || List.exists Proc.is_zombie children
   | Proc.Sleep until_ -> m.cost.cycles >= until_
 
-(* Event-driven wake: drain the pending-wakeup list the pipes and the
-   zombie transition fed since the last boundary, recheck each candidate
-   in ascending pid order (the same order the scan visited them), and
-   requeue the ready ones. A pending pid whose condition still does not
-   hold is re-registered on its pipe, so the next state flip pends it
-   again. O(woken), independent of the process count. *)
+let wake_pid (m : M.t) pid =
+  match Hashtbl.find m.procs pid with
+  | p -> (
+    match p.Proc.state with
+    | Proc.Blocked cond ->
+      if ready m p cond then begin
+        p.state <- Proc.Runnable;
+        M.enqueue m p
+      end
+      else M.register_wait m p cond
+    | Proc.Runnable | Proc.Zombie _ -> ())
+  | exception Not_found -> ()
+
+(* Event-driven wake: drain the pending wakeups the pipes and the zombie
+   transition fed since the last boundary, recheck each candidate in
+   ascending pid order (the same order the scan visited them), and requeue
+   the ready ones. A pending pid whose condition still does not hold is
+   re-registered on its pipe, so the next state flip pends it again; pids
+   pushed while rechecking wait for the next boundary. O(woken),
+   independent of the process count. The common single wakeup allocates
+   nothing. *)
 let wake (m : M.t) =
-  match m.pending_wakeups with
-  | [] -> ()
-  | pending ->
-    m.pending_wakeups <- [];
-    List.iter
-      (fun pid ->
-        match M.proc m pid with
-        | Some p -> (
-          match p.state with
-          | Proc.Blocked cond ->
-            if ready m p cond then begin
-              p.state <- Proc.Runnable;
-              M.enqueue m p
-            end
-            else M.register_wait m p cond
-          | Proc.Runnable | Proc.Zombie _ -> ())
-        | None -> ())
-      (List.sort_uniq compare pending)
+  match Intq.length m.pending_wakeups with
+  | 0 -> ()
+  | 1 -> wake_pid m (Intq.pop m.pending_wakeups)
+  | n ->
+    let pids = Array.init n (fun _ -> Intq.pop m.pending_wakeups) in
+    Array.sort Int.compare pids;
+    Array.iteri (fun i pid -> if i = 0 || pid <> pids.(i - 1) then wake_pid m pid) pids
 
 (* The seed's scan-everything wake, kept as the reference implementation
    for the equivalence harness (test/test_wake_equiv.ml). Clears the
    pending list too, so the two modes never mix. *)
 let wake_scan (m : M.t) =
-  m.pending_wakeups <- [];
+  Intq.clear m.pending_wakeups;
   List.iter
     (fun (p : Proc.t) ->
       match p.state with
@@ -70,27 +76,26 @@ let wake_scan (m : M.t) =
     (M.procs m)
 
 let rec dequeue_runnable (m : M.t) =
-  match Queue.take_opt m.runq with
-  | None -> None
-  | Some pid -> (
-    match M.proc m pid with
-    | Some p ->
-      p.in_runq <- false;
-      if Proc.is_runnable p then Some p else dequeue_runnable m
-    | None -> dequeue_runnable m)
+  if Intq.is_empty m.runq then raise_notrace Not_found;
+  match Hashtbl.find m.procs (Intq.pop m.runq) with
+  | p ->
+    p.in_runq <- false;
+    if Proc.is_runnable p then p else dequeue_runnable m
+  | exception Not_found -> dequeue_runnable m
 
 let all_zombie (m : M.t) =
   Hashtbl.fold (fun _ p acc -> acc && Proc.is_zombie p) m.procs true
 
 let switch_to (m : M.t) (p : Proc.t) =
-  if m.last_running <> Some p.pid then begin
+  match m.last_running with
+  | Some pid when pid = p.pid -> ()
+  | Some _ | None ->
     Hw.Cost.charge_ctx_switch m.cost;
     M.load_pagetables m p;
     m.last_running <- Some p.pid;
     (match m.switch_hook with Some f -> f p | None -> ());
     if Obs.enabled m.obs then
       Obs.event m.obs ~cat:"os" "os.ctx_switch" ~args:[ ("pid", Obs.Json.Int p.pid) ]
-  end
 
 (* The timer interrupt: charges the trap, and every [daemon_period]-th tick
    a background task (kflushd, a logging daemon...) actually runs, which is
@@ -110,26 +115,21 @@ let timer_tick (m : M.t) =
   end
 
 let run_quantum ?table (m : M.t) (p : Proc.t) fuel =
-  (* Arm the control-transfer monitor for this quantum. The closure (and
-     the protection context it captures) is built once per quantum, not per
-     step, and not at all for non-CFI protections — the common step loop
-     stays allocation-free. *)
-  let ctrl =
-    match m.protection.ctrl_monitor with
+  (* Arm the dispatch environment for this quantum: the control-transfer
+     monitor (a closure built once per quantum, and not at all for non-CFI
+     protections) and the retire hook — field writes otherwise. *)
+  m.env.Hw.Exec_env.ctrl <-
+    (match m.protection.ctrl_monitor with
     | Some mon when p.protected_ ->
-      let ctx = M.ctx m in
+      let ctx = m.ctx in
       Some (fun ~kind ~site ~target ~ret -> mon ctx p ~kind ~site ~target ~ret)
-    | Some _ | None -> None
-  in
-  (* Arm the dispatch environment for this quantum: field writes only. *)
-  m.env.Hw.Exec_env.ctrl <- ctrl;
+    | Some _ | None -> None);
   m.env.Hw.Exec_env.retire <- p.on_retire;
   (* Block dispatch is gated back to the per-instruction interpreter when
-     something needs to observe individual steps or byte fetches: a TLB
-     integrity guard must see every cached-entry hit (lib/inject), and ECC
-     scrubbing gives every physical read a side effect (lib/inject DRAM
-     campaigns). The trap flag (Algorithm 2's single-step window) is
-     checked per iteration below — a trap handler can set it mid-quantum. *)
+     something needs to observe individual byte fetches: a TLB integrity
+     guard must see every cached-entry hit (lib/inject), and ECC scrubbing
+     gives every physical read a side effect (lib/inject DRAM campaigns).
+     The trap flag needs no gate: [run_block] single-steps it. *)
   let block_ok =
     m.bbcache <> None
     && (not (Hw.Mmu.has_tlb_guard m.mmu))
@@ -139,27 +139,21 @@ let run_quantum ?table (m : M.t) (p : Proc.t) fuel =
   let steps = ref m.quantum in
   while Proc.is_runnable p && !steps > 0 && !fuel > 0 do
     timer_tick m;
-    if block_ok && not p.regs.tf then begin
-      let max_insns = min !steps !fuel in
-      let br = Hw.Cpu.run_block m.env m.mmu p.regs ~max_insns ~tick_limit:m.next_tick in
-      steps := !steps - br.attempts;
-      fuel := !fuel - br.attempts;
-      (* flush the batched retire accounting before any trap delivery: a
-         trap handler may read the counters *)
-      m.cost.insns <- m.cost.insns + br.retired;
-      (match m.hot with
-      | None -> ()
-      | Some h -> Obs.Metrics.incr ~by:br.retired h.h_retired);
-      match br.pending with None -> () | Some r -> Trap.deliver ?table m p r
-    end
-    else begin
-      decr steps;
-      decr fuel;
-      let eip_before = p.regs.eip in
-      let r = Hw.Cpu.step ?ctrl m.mmu p.regs in
-      (match r.outcome with Ok _ -> Proc.record_trace p eip_before | Error _ -> ());
-      Trap.deliver ?table m p r
-    end
+    let x =
+      if block_ok then
+        Hw.Cpu.run_block m.env m.mmu p.regs ~max_insns:(min !steps !fuel)
+          ~tick_limit:m.next_tick
+      else Hw.Cpu.step m.mmu p.regs
+    in
+    steps := !steps - x.attempts;
+    fuel := !fuel - x.attempts;
+    (* flush the batched retire accounting before any trap delivery: a
+       trap handler may read the counters *)
+    m.cost.insns <- m.cost.insns + x.retired;
+    (match m.hot with
+    | None -> ()
+    | Some h -> Obs.Metrics.incr ~by:x.retired h.h_retired);
+    if x.code <> Hw.Cpu.No_trap || x.debug then Trap.deliver ?table m p x
   done;
   p.p_insns <- p.p_insns + (m.cost.insns - insns0);
   if Proc.is_runnable p then M.enqueue m p
@@ -182,26 +176,34 @@ let run ?(fuel = 50_000_000) ?(wake_scan = false) ?table (m : M.t) =
     if !fuel <= 0 then Fuel_exhausted
     else
       match dequeue_runnable m with
-      | None ->
+      | p ->
+        switch_to m p;
+        run_quantum ?table m p fuel;
+        loop ()
+      | exception Not_found ->
         if all_zombie m then All_exited
-        else (
+        else
           (* Tickless idle: nothing is runnable but a deadline is
              pending, so jump the clock straight to the earliest wake-up
              instead of spinning — this is what lets closed-loop serving
              clients "think" without burning simulated CPU. The next
              iteration expires the sleeper and runs it. *)
-          match M.earliest_sleeper m with
-          | Some until_ ->
-            if until_ > m.cost.cycles then
-              Hw.Cost.charge m.cost (until_ - m.cost.cycles);
+          let until_ = M.earliest_sleeper m in
+          if until_ < 0 then All_blocked
+          else begin
+            if until_ > m.cost.cycles then Hw.Cost.charge m.cost (until_ - m.cost.cycles);
             loop ()
-          | None -> All_blocked)
-      | Some p ->
-        switch_to m p;
-        run_quantum ?table m p fuel;
-        loop ()
+          end
   in
-  loop ()
+  let stop = loop () in
+  (* A run allocates almost nothing per instruction, so it no longer fills
+     the minor heap, and the collections that used to happen inside it —
+     with the major-heap work they drive — were left to whatever allocates
+     next: building the next machine or snapshotting this one, short calls
+     that then took up to half again as long. One minor collection here
+     keeps that work inside the run that caused it. *)
+  Gc.minor ();
+  stop
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot support: raw scheduler/system state exposure               *)
@@ -219,7 +221,7 @@ type state = {
 
 let state (m : M.t) =
   {
-    s_runq = List.of_seq (Queue.to_seq m.runq);
+    s_runq = Intq.to_list m.runq;
     s_rng = Random.State.copy m.rng;
     s_last_running = m.last_running;
     s_next_pid = m.next_pid;
@@ -229,11 +231,11 @@ let state (m : M.t) =
   }
 
 let restore (m : M.t) (s : state) =
-  Queue.clear m.runq;
+  Intq.clear m.runq;
   List.iter
     (fun pid ->
       (match M.proc m pid with Some p -> p.in_runq <- true | None -> ());
-      Queue.add pid m.runq)
+      Intq.push m.runq pid)
     s.s_runq;
   m.rng <- Random.State.copy s.s_rng;
   m.last_running <- s.s_last_running;

@@ -1,7 +1,8 @@
 (** The scheduler layer: round-robin run loop, quantum accounting, timer
-    ticks and fuel handling, extracted from the old kernel monolith. One
-    executed instruction per loop iteration; any trap the instruction
-    raised is handed to {!Trap.deliver}. *)
+    ticks and fuel handling, extracted from the old kernel monolith. Each
+    loop iteration runs one {!Hw.Cpu.run_block} (or one {!Hw.Cpu.step}
+    when block dispatch is off) and hands the exit registers to
+    {!Trap.deliver} when they hold a trap or a #DB. *)
 
 type stop_reason = All_exited | All_blocked | Fuel_exhausted
 
@@ -19,9 +20,10 @@ val wake_scan : Machine.t -> unit
     requeue the ones whose wait condition now holds. O(processes). Kept
     for the wake-equivalence harness; also clears the pending list. *)
 
-val dequeue_runnable : Machine.t -> Proc.t option
+val dequeue_runnable : Machine.t -> Proc.t
 (** Pop the next runnable process, clearing its [in_runq] bit (and that of
-    any stale queued pid skipped along the way). *)
+    any stale queued pid skipped along the way). Raises [Not_found] when
+    none is queued — no option is allocated per pick. *)
 
 val all_zombie : Machine.t -> bool
 
@@ -32,8 +34,8 @@ val switch_to : Machine.t -> Proc.t -> unit
 val timer_tick : Machine.t -> unit
 
 val run_quantum : ?table:Syscalls.table -> Machine.t -> Proc.t -> int ref -> unit
-(** Run [p] for up to one quantum, decrementing [fuel] per instruction;
-    requeues the process if it is still runnable. *)
+(** Run [p] for up to one quantum, decrementing [fuel] per attempted
+    instruction; requeues the process if it is still runnable. *)
 
 val run :
   ?fuel:int -> ?wake_scan:bool -> ?table:Syscalls.table -> Machine.t -> stop_reason
@@ -42,7 +44,8 @@ val run :
     dispatch through. [wake_scan] (default [false]) selects the seed's
     scan-everything wake instead of the indexed one — the two are
     observably identical (test/test_wake_equiv.ml); the scan is O(procs)
-    per boundary. *)
+    per boundary. Ends with one minor collection ([Gc.minor]), so the
+    collector's work for the run stays inside it. *)
 
 (** {2 Snapshot support} *)
 

@@ -18,7 +18,8 @@ let register t n ~name handler = Hashtbl.replace t.entries n { name; handler }
 
 let find t n = Hashtbl.find_opt t.entries n
 
-let name t n = match find t n with Some e -> e.name | None -> Fmt.str "sys_%d" n
+let name t n =
+  match Hashtbl.find t.entries n with e -> e.name | exception Not_found -> Fmt.str "sys_%d" n
 
 let numbers t = Hashtbl.fold (fun n _ acc -> n :: acc) t.entries [] |> List.sort compare
 
@@ -32,35 +33,35 @@ let ret (p : Proc.t) v = Hw.Cpu.set p.regs Isa.Reg.EAX v
 (* exit(status) *)
 let sys_exit (m : M.t) p =
   let ebx = arg p Isa.Reg.EBX in
-  M.sebek_trace m p "exit" (fun () -> string_of_int ebx);
+  if p.sebek_active then M.sebek_trace m p "exit" (string_of_int ebx);
   M.terminate m p (Proc.Exited (ebx land 0xFF))
 
 (* fork() *)
 let sys_fork (m : M.t) p =
   let child = M.do_fork m p in
-  M.sebek_trace m p "fork" (fun () -> Fmt.str "-> %d" child);
+  if p.sebek_active then M.sebek_trace m p "fork" (Fmt.str "-> %d" child);
   ret p child
 
 (* read(fd, buf, len) *)
 let sys_read (m : M.t) (p : Proc.t) =
   let fd = arg p Isa.Reg.EBX and buf = arg p Isa.Reg.ECX and len = arg p Isa.Reg.EDX in
-  match Proc.fd p fd with
-  | Some (Read_end pipe) ->
+  match Hashtbl.find p.fds fd with
+  | Read_end pipe ->
     if not (Pipe.is_empty pipe) then begin
       let s = Pipe.read pipe ~max:len in
       M.copy_to_user m p buf s;
-      M.sebek_trace m p "read" (fun () -> Fmt.str "fd=%d %S" fd (M.preview s));
+      if p.sebek_active then M.sebek_trace m p "read" (Fmt.str "fd=%d %S" fd (M.preview s));
       ret p (String.length s)
     end
     else if Pipe.has_writers pipe then M.block m p (Proc.Read_fd fd)
     else ret p 0
-  | Some (Write_end _) | None -> ret p (-9)
+  | Write_end _ | (exception Not_found) -> ret p (-9)
 
 (* write(fd, buf, len) *)
 let sys_write (m : M.t) (p : Proc.t) =
   let fd = arg p Isa.Reg.EBX and buf = arg p Isa.Reg.ECX and len = arg p Isa.Reg.EDX in
-  match Proc.fd p fd with
-  | Some (Write_end pipe) ->
+  match Hashtbl.find p.fds fd with
+  | Write_end pipe ->
     if not (Pipe.has_readers pipe) then M.kill m p Proc.Sigpipe
     else if Pipe.space pipe = 0 then M.block m p (Proc.Write_fd fd)
     else begin
@@ -68,10 +69,10 @@ let sys_write (m : M.t) (p : Proc.t) =
       let s = M.copy_from_user m p buf chunk in
       let written = Pipe.write pipe s in
       Hw.Cost.charge m.cost (written * m.cost.params.io_byte);
-      M.sebek_trace m p "write" (fun () -> Fmt.str "fd=%d %S" fd (M.preview s));
+      if p.sebek_active then M.sebek_trace m p "write" (Fmt.str "fd=%d %S" fd (M.preview s));
       ret p written
     end
-  | Some (Read_end _) | None -> ret p (-9)
+  | Read_end _ | (exception Not_found) -> ret p (-9)
 
 (* close(fd) *)
 let sys_close (_m : M.t) p = ret p (if Proc.close_fd p (arg p Isa.Reg.EBX) then 0 else -9)
@@ -88,7 +89,7 @@ let sys_waitpid (m : M.t) p =
     match List.find_opt Proc.is_zombie children with
     | Some z ->
       M.reap m z;
-      M.sebek_trace m p "waitpid" (fun () -> Fmt.str "-> %d" z.pid);
+      if p.sebek_active then M.sebek_trace m p "waitpid" (Fmt.str "-> %d" z.pid);
       ret p z.pid
     | None -> M.block m p (Proc.Child target))
 
@@ -96,7 +97,7 @@ let sys_waitpid (m : M.t) p =
 let sys_execve (m : M.t) (p : Proc.t) =
   let path = M.read_cstring m p (arg p Isa.Reg.EBX) ~max:64 in
   Event_log.add m.log (Exec_shell { pid = p.pid; path });
-  M.sebek_trace m p "execve" (fun () -> Fmt.str "%S" path);
+  if p.sebek_active then M.sebek_trace m p "execve" (Fmt.str "%S" path);
   ret p 0
 
 (* time() — cycle counter *)
@@ -129,7 +130,7 @@ let sys_brk (_m : M.t) (p : Proc.t) =
 let sys_sigrecover (m : M.t) (p : Proc.t) =
   let ebx = arg p Isa.Reg.EBX in
   p.recovery_handler <- (if ebx = 0 then None else Some ebx);
-  M.sebek_trace m p "sigrecover" (fun () -> Fmt.str "0x%08x" ebx);
+  if p.sebek_active then M.sebek_trace m p "sigrecover" (Fmt.str "0x%08x" ebx);
   ret p 0
 
 (* mmap(len, prot) *)
@@ -150,7 +151,8 @@ let sys_mmap (m : M.t) (p : Proc.t) =
         share = None;
       };
     p.aspace.mmap_cursor <- base + ((pages + 1) * m.page_size);
-    M.sebek_trace m p "mmap" (fun () -> Fmt.str "len=%d prot=%d -> 0x%08x" len prot base);
+    if p.sebek_active then
+      M.sebek_trace m p "mmap" (Fmt.str "len=%d prot=%d -> 0x%08x" len prot base);
     ret p base
   end
 
@@ -216,7 +218,8 @@ let sys_uselib (m : M.t) (p : Proc.t) =
             source = Image_bytes { base = lib.lib_base; bytes = lib.code };
             share = None;
           };
-      M.sebek_trace m p "uselib" (fun () -> Fmt.str "%S -> 0x%08x" name lib.lib_base);
+      if p.sebek_active then
+        M.sebek_trace m p "uselib" (Fmt.str "%S -> 0x%08x" name lib.lib_base);
       ret p lib.lib_base
     end
 
@@ -230,12 +233,12 @@ let sys_sched_yield (_m : M.t) p = ret p 0
    *after* the [int 0x80] when the deadline passes. *)
 let sys_nanosleep (m : M.t) (p : Proc.t) =
   let d = arg p Isa.Reg.EBX in
-  M.sebek_trace m p "nanosleep" (fun () -> Fmt.str "%d cycles" d);
+  if p.sebek_active then M.sebek_trace m p "nanosleep" (Fmt.str "%d cycles" d);
   ret p 0;
   if d > 0 then begin
-    let until_ = m.cost.cycles + d in
-    p.state <- Proc.Blocked (Proc.Sleep until_);
-    M.register_wait m p (Proc.Sleep until_)
+    let cond = Proc.Sleep (m.cost.cycles + d) in
+    p.state <- Proc.Blocked cond;
+    M.register_wait m p cond
   end
 
 (* ------------------------------------------------------------------ *)
@@ -275,21 +278,25 @@ let default () = Lazy.force default_table
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Run the handler for [n] (ENOSYS when none), containing the two
+   kernel-internal escapes every handler may take: a bad guest pointer
+   (EFAULT) and physical-memory exhaustion (OOM-kill). *)
+let call t (m : M.t) (p : Proc.t) n =
+  try
+    match Hashtbl.find t.entries n with
+    | e -> e.handler m p
+    | exception Not_found -> ret p (-38)
+  with
+  | M.Efault -> ret p (-14)
+  | Frame_alloc.Out_of_frames -> M.oom_kill m p
+
 let dispatch t (m : M.t) (p : Proc.t) n =
-  let entry = find t n in
-  let go () =
-    (* the two kernel-internal escapes every handler may take: a bad guest
-       pointer (EFAULT) and physical-memory exhaustion (OOM-kill) *)
-    try match entry with Some e -> e.handler m p | None -> ret p (-38) with
-    | M.Efault -> ret p (-14)
-    | Frame_alloc.Out_of_frames -> M.oom_kill m p
-  in
   match m.syscall_tracer with
-  | None -> go ()
+  | None -> call t m p n
   | Some tracer ->
     let args = (arg p Isa.Reg.EBX, arg p Isa.Reg.ECX, arg p Isa.Reg.EDX) in
     let since = m.cost.cycles in
-    go ();
+    call t m p n;
     let outcome =
       match p.state with
       | Proc.Zombie _ -> M.Exited
@@ -299,7 +306,7 @@ let dispatch t (m : M.t) (p : Proc.t) n =
     tracer
       {
         sys_number = n;
-        sys_name = (match entry with Some e -> e.name | None -> name t n);
+        sys_name = name t n;
         sys_pid = p.pid;
         sys_args = args;
         sys_outcome = outcome;

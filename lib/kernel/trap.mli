@@ -1,31 +1,12 @@
-(** The trap layer: a first-class trap type unifying the CPU's step
-    outcomes, and the dispatch pipeline routing each class through the
-    {!Protection.t} hooks.
+(** The trap layer: the dispatch pipeline routing every class of CPU exit
+    through the {!Protection.t} hooks.
 
     This boundary is where the paper's defense lives: Algorithm 1 runs in
     the page-fault handler, Algorithm 2 in the debug-interrupt handler,
     Algorithm 3 in the invalid-opcode handler (§5). The pipeline owns the
     cost-charging discipline for every class and the per-class
-    observability instruments; {!Sched} calls {!deliver} once per executed
-    instruction. *)
-
-type t =
-  | Page_fault of Hw.Mmu.fault
-  | Syscall of int  (** EAX at [int 0x80] *)
-  | Invalid_opcode of { eip : int; opcode : int }
-  | General_protection of string
-  | Debug_trap  (** #DB: trap flag was set when the instruction retired *)
-
-val class_name : t -> string
-
-val pp : Format.formatter -> t -> unit
-(** One formatter for all classes; page faults print via
-    {!Hw.Mmu.pp_fault}, the same formatter {!Hw.Cpu.pp_fault} uses. *)
-
-val of_outcome : (Hw.Cpu.event, Hw.Cpu.fault) result -> t option
-(** The primary trap of a step outcome; [None] for a plainly retired
-    instruction. The #DB piggybacks on [Hw.Cpu.step.debug_trap] and is
-    delivered after the primary outcome by {!deliver}. *)
+    observability instruments; {!Sched} calls {!deliver} on the exit
+    registers whenever a dispatch call ends in a trap or a #DB. *)
 
 val handle_tlb_miss : Machine.t -> Proc.t -> Hw.Mmu.fault -> Pte.t -> unit
 (** Software-managed-TLB miss service (paper §4.7): COW and permission
@@ -35,13 +16,14 @@ val handle_page_fault : Machine.t -> Proc.t -> Hw.Mmu.fault -> unit
 (** The page-fault handler: demand paging, COW, the Algorithm 1 hook
     ([on_protection_fault]), or SIGSEGV. *)
 
-val serve : ?table:Syscalls.table -> Machine.t -> Proc.t -> t -> unit
-(** Serve one trap: charge its cost, route it to its handler, feed the
-    per-class metrics. [table] (default {!Syscalls.default}) is only
-    consulted for [Syscall] traps. *)
-
-val deliver : ?table:Syscalls.table -> Machine.t -> Proc.t -> Hw.Cpu.step -> unit
-(** Deliver a whole step result: the primary outcome (a retired
-    instruction charges and counts; a trap is {!serve}d), then the
-    piggybacked #DB — after the primary outcome, and only if the process
-    is still runnable, mirroring x86 delivery order. *)
+val deliver : ?table:Syscalls.table -> Machine.t -> Proc.t -> Hw.Cpu.exit -> unit
+(** Deliver what the exit registers hold, dispatching on their code. The
+    primary trap first: a syscall (through [table], default
+    {!Syscalls.default}), a page fault (its record read once from the
+    MMU's pending-fault registers), #UD or #GP — each charged, routed to
+    its handler and counted under [traps.by_class] as
+    {!Hw.Cpu.exit_code_name}. [No_trap] delivers nothing: retired
+    instructions are charged by the CPU and counted by the scheduler.
+    Then the piggybacked #DB (class [debug_trap]) — after the primary
+    trap, and only if the process is still runnable, mirroring x86
+    delivery order. *)

@@ -3,10 +3,31 @@ exception Corrupt of string
 let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 
 module W = struct
-  type t = Buffer.t
+  (* A growable byte buffer, or with [sizing] a counter that stores
+     nothing: running an encoder over a sizer first gives the exact length,
+     so the real pass fills one buffer that [contents] hands out without a
+     copy. *)
+  type t = { mutable buf : Bytes.t; mutable len : int; sizing : bool }
 
-  let create ?(size = 65536) () = Buffer.create size
-  let u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
+  let create ?(size = 65536) () = { buf = Bytes.create size; len = 0; sizing = false }
+  let sizer () = { buf = Bytes.empty; len = 0; sizing = true }
+  let length b = b.len
+
+  (* Make room for [n] more bytes; [false] when only counting. *)
+  let room b n =
+    (not b.sizing)
+    && begin
+         if b.len + n > Bytes.length b.buf then begin
+           let buf = Bytes.create (max (b.len + n) (2 * Bytes.length b.buf)) in
+           Bytes.blit b.buf 0 buf 0 b.len;
+           b.buf <- buf
+         end;
+         true
+       end
+
+  let u8 b v =
+    if room b 1 then Bytes.unsafe_set b.buf b.len (Char.unsafe_chr (v land 0xFF));
+    b.len <- b.len + 1
 
   (* zigzag so negative values (register contents, error returns held in
      saved GPRs) stay within the unsigned 62-bit range of the encoding; the
@@ -14,13 +35,23 @@ module W = struct
      always 0 *)
   let int b v =
     let z = (v lsl 1) lxor (v asr 62) in
-    Buffer.add_int64_le b (Int64.logand (Int64.of_int z) Int64.max_int)
+    if room b 8 then
+      Bytes.set_int64_le b.buf b.len (Int64.logand (Int64.of_int z) Int64.max_int);
+    b.len <- b.len + 8
 
   let bool b v = u8 b (if v then 1 else 0)
 
-  let str b s =
-    int b (String.length s);
-    Buffer.add_string b s
+  let raw_sub b s ~pos ~len =
+    if room b len then Bytes.blit_string s pos b.buf b.len len;
+    b.len <- b.len + len
+
+  let raw b s = raw_sub b s ~pos:0 ~len:(String.length s)
+
+  let str_sub b s ~pos ~len =
+    int b len;
+    raw_sub b s ~pos ~len
+
+  let str b s = str_sub b s ~pos:0 ~len:(String.length s)
 
   let opt f b = function
     | None -> bool b false
@@ -36,8 +67,14 @@ module W = struct
     int b (Array.length a);
     Array.iter (int b) a
 
-  let raw = Buffer.add_string
-  let contents = Buffer.contents
+  let contents b =
+    let s =
+      if b.len = Bytes.length b.buf then Bytes.unsafe_to_string b.buf
+      else Bytes.sub_string b.buf 0 b.len
+    in
+    b.buf <- Bytes.empty;
+    b.len <- 0;
+    s
 end
 
 module R = struct
@@ -66,13 +103,17 @@ module R = struct
     | 1 -> true
     | n -> corrupt "bad bool tag %d at byte %d" n (r.pos - 1)
 
-  let str r =
+  let view r =
     let n = int r in
     if n < 0 || r.pos + n > String.length r.s then
       corrupt "bad string length %d at byte %d" n r.pos;
-    let s = String.sub r.s r.pos n in
+    let pos = r.pos in
     r.pos <- r.pos + n;
-    s
+    (r.s, pos, n)
+
+  let str r =
+    let s, pos, n = view r in
+    String.sub s pos n
 
   let opt f r = if bool r then Some (f r) else None
 

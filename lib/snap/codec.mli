@@ -21,6 +21,14 @@ module W : sig
   (** A writer whose buffer starts at [size] bytes (default 64 KiB) and
       grows as needed. *)
 
+  val sizer : unit -> t
+  (** A writer that stores nothing and only counts: run an encoder over
+      it, then {!create} a writer of exactly {!length} bytes, whose
+      {!contents} then costs no copy. *)
+
+  val length : t -> int
+  (** Bytes written (or counted) so far. *)
+
   val u8 : t -> int -> unit
   val int : t -> int -> unit
   val bool : t -> bool -> unit
@@ -31,7 +39,12 @@ module W : sig
   val raw : t -> string -> unit
   (** Append bytes verbatim, no length prefix (magic headers). *)
 
+  val str_sub : t -> string -> pos:int -> len:int -> unit
+  (** {!str} of a substring, without extracting it. *)
+
   val contents : t -> string
+  (** The bytes written; a copy only when the buffer is not exactly full.
+      Empties the writer. *)
 end
 
 module R : sig
@@ -42,6 +55,11 @@ module R : sig
   val int : t -> int
   val bool : t -> bool
   val str : t -> string
+
+  val view : t -> string * int * int
+  (** A length-prefixed field without the copy {!str} makes: the input
+      string, the field's offset in it and its length. *)
+
   val opt : (t -> 'a) -> t -> 'a option
   val list : (t -> 'a) -> t -> 'a list
   val int_array : t -> int array

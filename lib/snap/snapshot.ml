@@ -75,7 +75,10 @@ type t = {
   sn_protection : string;
   sn_params_hash : int;
   sn_cost : cost_state;
-  sn_frames : (int * string) list;  (* non-zero frames, ascending *)
+  sn_frames : (int * string * int) list;
+      (* non-zero frames, ascending: frame, and a string holding its page at
+         an offset — its own copy after a checkpoint, the blob after a
+         decode, so decoding copies no page *)
   sn_frames_skipped : int;
   sn_alloc : Kernel.Frame_alloc.state;
   sn_segments : (int * string) array;
@@ -293,7 +296,9 @@ let export_pipes_and_procs os =
       pr_wait = wait;
       pr_exit = exit;
       pr_next_fd = p.next_fd;
-      pr_pending_fault = p.pending_fault_addr;
+      pr_pending_fault =
+        (if p.pending_fault_addr = Kernel.Proc.no_fault_addr then None
+         else Some p.pending_fault_addr);
       pr_sebek = p.sebek_active;
       pr_detections = p.detections;
       pr_recovery = p.recovery_handler;
@@ -325,7 +330,7 @@ let checkpoint ?(meta = []) ?trigger os =
   let frames = ref [] and written = ref 0 in
   Hw.Phys.iter_frames phys ~mask:Hw.Phys.zero_bit ~skip:Hw.Phys.zero_bit (fun frame ->
       if not (Hw.Phys.is_zero_frame phys ~frame) then begin
-        frames := (frame, Hw.Phys.to_string phys ~frame) :: !frames;
+        frames := (frame, Hw.Phys.to_string phys ~frame, 0) :: !frames;
         incr written
       end);
   let skipped = n - !written in
@@ -398,6 +403,14 @@ let restore os snap =
          (Kernel.Os.protection os).name snap.sn_protection);
   if Hashtbl.hash cost.params <> snap.sn_params_hash then
     invalid_arg "Snapshot.restore: cost parameter mismatch";
+  (* The PRNG blob is the one section [decode] cannot check, so it is read
+     before anything below writes the machine: a bad blob is [Corrupt] and
+     leaves the target as it was. *)
+  let rng =
+    match (Marshal.from_string snap.sn_rng 0 : Random.State.t) with
+    | rng -> rng
+    | exception (Failure _ | Invalid_argument _) -> Codec.corrupt "unreadable PRNG state"
+  in
   (* physical memory: zero everything, then lay down the sparse frames.
      [fill 0] leaves a known-zero unwatched frame as it is, so only the
      other frames need it; a watched zero frame is still filled, which
@@ -405,7 +418,8 @@ let restore os snap =
   Hw.Phys.iter_frames phys ~mask:0xFF ~skip:Hw.Phys.zero_bit (fun frame ->
       Hw.Phys.fill phys ~frame 0);
   List.iter
-    (fun (frame, bytes) -> Hw.Phys.blit_from_string phys ~frame ~off:0 bytes)
+    (fun (frame, bytes, pos) ->
+      Hw.Phys.blit_from_string phys ~frame ~off:0 ~pos ~len:snap.sn_page_size bytes)
     snap.sn_frames;
   (* the decoded-block cache is derived state: never serialized, dropped
      wholesale here and rebuilt lazily as execution resumes. (The refill
@@ -498,7 +512,8 @@ let restore os snap =
         in_runq = false;
         p_insns = ps.pr_insns;
         next_fd = ps.pr_next_fd;
-        pending_fault_addr = ps.pr_pending_fault;
+        pending_fault_addr =
+          Option.value ps.pr_pending_fault ~default:Kernel.Proc.no_fault_addr;
         sebek_active = ps.pr_sebek;
         parent = ps.pr_parent;
         detections = ps.pr_detections;
@@ -518,7 +533,7 @@ let restore os snap =
   Kernel.Sched.restore (Kernel.Os.machine os)
     {
       s_runq = snap.sn_runq;
-      s_rng = (Marshal.from_string snap.sn_rng 0 : Random.State.t);
+      s_rng = rng;
       s_last_running = snap.sn_last_running;
       s_next_pid = snap.sn_next_pid;
       s_next_tick = snap.sn_next_tick;
@@ -531,7 +546,7 @@ let restore os snap =
   (match snap.sn_last_running with
   | Some pid when Kernel.Os.proc os pid <> None ->
     Kernel.Os.load_pagetables os (Option.get (Kernel.Os.proc os pid))
-  | _ -> Hw.Mmu.reload_cr3 mmu (fun _ -> None));
+  | _ -> Hw.Mmu.reload_cr3 mmu (fun _ -> Hw.Mmu.no_pte));
   (* TLB contents last: reload_cr3 above flushed and bumped stats; import
      overwrites both with the snapshot's exact state *)
   Hw.Tlb.import (Hw.Mmu.itlb mmu) snap.sn_itlb;
@@ -697,13 +712,23 @@ let tlb_w b (s : Hw.Tlb.state) =
   int b s.s_invalidations;
   int b s.s_evictions
 
-let tlb_r r : Hw.Tlb.state =
+(* A frame number read from outside: the kernel and the TLB index physical
+   memory with it, so one out of range would surface later as a stray
+   [Invalid_argument] from [Phys]. *)
+let frame_r ~frame_count what r =
+  let frame = Codec.R.int r in
+  if frame < 0 || frame >= frame_count then
+    Codec.corrupt "%s frame %d out of range (%d frames)" what frame frame_count;
+  frame
+
+let tlb_r ~frame_count r : Hw.Tlb.state =
   let open Codec.R in
   let s_entries =
     list
       (fun r ->
         let vpn = int r in
-        let frame = int r in
+        if vpn < 0 then Codec.corrupt "TLB entry vpn %d negative" vpn;
+        let frame = frame_r ~frame_count "TLB entry" r in
         let user = bool r in
         let writable = bool r in
         let nx = bool r in
@@ -768,7 +793,7 @@ let proc_w b (p : proc_state) =
       opt (triple int int bool) b ps.ps_split)
     b p.pr_ptes
 
-let proc_r ~segments r : proc_state =
+let proc_r ~segments ~frame_count r : proc_state =
   let open Codec.R in
   let pr_pid = int r in
   let pr_name = str r in
@@ -783,6 +808,10 @@ let proc_r ~segments r : proc_state =
   let pr_exit = opt (pair_r int int) r in
   let pr_next_fd = int r in
   let pr_pending_fault = opt int r in
+  (match pr_pending_fault with
+  | Some a when a < 0 || a > 0xFFFFFFFF ->
+    Codec.corrupt "pid %d: pending fault address %d out of range" pr_pid a
+  | _ -> ());
   let pr_sebek = bool r in
   let pr_detections = int r in
   let pr_recovery = opt int r in
@@ -824,14 +853,18 @@ let proc_r ~segments r : proc_state =
       (fun r ->
         let ps_vpn = int r in
         let ps_kind = u8 r in
-        let ps_frame = int r in
+        let ps_frame = frame_r ~frame_count "PTE" r in
         let ps_present = bool r in
         let ps_writable = bool r in
         let ps_user = bool r in
         let ps_nx = bool r in
         let ps_cow = bool r in
         let ps_orig_writable = bool r in
-        let ps_split = opt (triple_r int int bool) r in
+        let ps_split =
+          opt
+            (triple_r (frame_r ~frame_count "split code") (frame_r ~frame_count "split data") bool)
+            r
+        in
         {
           ps_vpn;
           ps_kind;
@@ -886,11 +919,10 @@ let frames_r ~frame_count ~page_size r =
         Codec.corrupt "frame %d out of order or range (after %d, %d frames)" frame !prev
           frame_count;
       prev := frame;
-      let bytes = Codec.R.str r in
-      if String.length bytes <> page_size then
-        Codec.corrupt "frame %d holds %d bytes (page size %d)" frame (String.length bytes)
-          page_size;
-      (frame, bytes))
+      let bytes, pos, len = Codec.R.view r in
+      if len <> page_size then
+        Codec.corrupt "frame %d holds %d bytes (page size %d)" frame len page_size;
+      (frame, bytes, pos))
     r
 
 (* The sparse allocator section: [in_use], [peak_in_use], then exactly
@@ -921,15 +953,8 @@ let alloc_r ~frame_count r : Kernel.Frame_alloc.state =
     Codec.corrupt "allocator: %d frames listed, in_use %d" n s_in_use;
   { s_used; s_in_use; s_peak_in_use }
 
-let encode t =
+let write b t =
   let open Codec.W in
-  (* frames and segments are the bulk of a blob: size the buffer for them
-     so it does not regrow and copy them on the way *)
-  let bulk =
-    (List.length t.sn_frames * (t.sn_page_size + 16))
-    + Array.fold_left (fun n (_, bytes) -> n + 16 + String.length bytes) 0 t.sn_segments
-  in
-  let b = create ~size:(bulk + 65536) () in
   raw b magic;
   int b version;
   int b t.sn_page_size;
@@ -943,7 +968,11 @@ let encode t =
   int b t.sn_cost.cs_single_steps;
   int b t.sn_cost.cs_syscalls;
   int b t.sn_cost.cs_ctx_switches;
-  list (pair int str) b t.sn_frames;
+  list
+    (fun b (frame, bytes, pos) ->
+      int b frame;
+      str_sub b bytes ~pos ~len:t.sn_page_size)
+    b t.sn_frames;
   int b t.sn_frames_skipped;
   int b t.sn_alloc.s_in_use;
   int b t.sn_alloc.s_peak_in_use;
@@ -980,8 +1009,16 @@ let encode t =
       int b tr.t_pid;
       int b tr.t_eip;
       str b tr.t_mode)
-    b t.sn_trigger;
-  contents b
+    b t.sn_trigger
+
+(* One pass over a sizer, then one over a buffer of exactly that size:
+   the blob is built without regrowing and handed out without a copy. *)
+let encode t =
+  let sizing = Codec.W.sizer () in
+  write sizing t;
+  let b = Codec.W.create ~size:(Codec.W.length sizing) () in
+  write b t;
+  Codec.W.contents b
 
 let decode s =
   let open Codec.R in
@@ -1004,8 +1041,8 @@ let decode s =
   let sn_frames = frames_r ~frame_count:sn_frame_count ~page_size:sn_page_size r in
   let sn_frames_skipped = int r in
   let sn_alloc = alloc_r ~frame_count:sn_frame_count r in
-  let sn_itlb = tlb_r r in
-  let sn_dtlb = tlb_r r in
+  let sn_itlb = tlb_r ~frame_count:sn_frame_count r in
+  let sn_dtlb = tlb_r ~frame_count:sn_frame_count r in
   let sn_pipes =
     list
       (pair_r int (fun r ->
@@ -1026,7 +1063,9 @@ let decode s =
       r
   in
   let sn_segments = Array.of_list (list (pair_r int str) r) in
-  let sn_procs = list (proc_r ~segments:(Array.length sn_segments)) r in
+  let sn_procs =
+    list (proc_r ~segments:(Array.length sn_segments) ~frame_count:sn_frame_count) r
+  in
   let sn_libs =
     list
       (pair_r str (fun r ->

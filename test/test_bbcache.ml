@@ -72,20 +72,28 @@ let prop_bbcache_invisible =
 
 (* --- Golden scenarios on/off ---------------------------------------------- *)
 
+(* [true] marks the split-memory runs: their Algorithm 2 single steps go
+   through one-instruction blocks with the cache on, so the comparison
+   covers the trap-flag path only if some step actually happened. *)
 let golden_specs =
   [
-    ("apache/split", Workload.Figures.apache_spec ~defense:Defense.split_standalone ~size:2048 ~requests:3);
-    ("gzip/nx", Workload.Figures.gzip_spec ~defense:Defense.nx ~size:8192);
-    ("ctxsw/split", Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40);
-    ("ctxsw/split+cfi", Workload.Figures.ctxsw_spec ~defense:Defense.split_plus_cfi ~iters:25);
-    ("nbench/unprotected", Workload.Harness.single ~defense:Defense.unprotected (Workload.Guests.nbench ~iters:2 ()));
+    ("apache/split", true, Workload.Figures.apache_spec ~defense:Defense.split_standalone ~size:2048 ~requests:3);
+    ("gzip/nx", false, Workload.Figures.gzip_spec ~defense:Defense.nx ~size:8192);
+    ("ctxsw/split", true, Workload.Figures.ctxsw_spec ~defense:Defense.split_standalone ~iters:40);
+    ("ctxsw/split+cfi", true, Workload.Figures.ctxsw_spec ~defense:Defense.split_plus_cfi ~iters:25);
+    ("nbench/unprotected", false, Workload.Harness.single ~defense:Defense.unprotected (Workload.Guests.nbench ~iters:2 ()));
   ]
 
 let test_goldens_on_off () =
   List.iter
-    (fun (name, spec) ->
+    (fun (name, single_steps, spec) ->
       let on, off = run_both spec in
-      Alcotest.(check bool) (name ^ " identical on/off") true (final_state on = final_state off))
+      Alcotest.(check bool) (name ^ " identical on/off") true (final_state on = final_state off);
+      if single_steps then
+        Alcotest.(check bool)
+          (name ^ " single-steps under block dispatch")
+          true
+          ((Kernel.Os.cost on).single_steps > 0))
     golden_specs
 
 (* The cache must actually be live under the protected scenarios above —
@@ -152,7 +160,8 @@ let straddle_fixture () =
     { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
   Hashtbl.replace table 1
     { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (fun vpn -> Hashtbl.find_opt table vpn);
+  Hw.Mmu.reload_cr3 mmu (fun vpn ->
+      match Hashtbl.find_opt table vpn with Some p -> Hw.Mmu.pack_pte p | None -> Hw.Mmu.no_pte);
   (phys, mmu, Hw.Cpu.create_regs (), a)
 
 let test_page_straddle () =
@@ -165,11 +174,11 @@ let test_page_straddle () =
   let _, mmu_ref, regs_ref, _ = straddle_fixture () in
   let retired_ref = ref 0 in
   let rec step_all () =
-    match (Hw.Cpu.step mmu_ref regs_ref).outcome with
-    | Ok Hw.Cpu.Retired ->
+    match (Hw.Cpu.step mmu_ref regs_ref).code with
+    | Hw.Cpu.No_trap ->
       incr retired_ref;
       step_all ()
-    | Error (Hw.Cpu.General_protection _) -> () (* hlt *)
+    | Hw.Cpu.General_protection -> () (* hlt *)
     | _ -> Alcotest.fail "reference run: unexpected outcome"
   in
   step_all ();
@@ -180,14 +189,12 @@ let test_page_straddle () =
   env.Hw.Exec_env.cache <- Some cache;
   let retired = ref 0 in
   let rec drive () =
-    let br = Hw.Cpu.run_block env mmu regs ~max_insns:10_000 ~tick_limit:max_int in
-    retired := !retired + br.Hw.Cpu.retired;
-    match br.pending with
-    | None -> drive ()
-    | Some s -> (
-      match s.outcome with
-      | Error (Hw.Cpu.General_protection _) -> ()
-      | _ -> Alcotest.fail "block run: unexpected pending step")
+    let x = Hw.Cpu.run_block env mmu regs ~max_insns:10_000 ~tick_limit:max_int in
+    retired := !retired + x.Hw.Cpu.retired;
+    match x.code with
+    | Hw.Cpu.No_trap -> drive ()
+    | Hw.Cpu.General_protection -> ()
+    | _ -> Alcotest.fail "block run: unexpected trap"
   in
   drive ();
   Alcotest.(check int) "same retire count" !retired_ref !retired;
@@ -197,6 +204,126 @@ let test_page_straddle () =
   (* the straddler's pa0 is cached as a negative block *)
   let b = Hw.Bbcache.lookup cache ((1 * 4096) + 4093) in
   Alcotest.(check int) "negative block at the straddle pc" 0 b.Hw.Bbcache.n
+
+(* --- Exit registers ----------------------------------------------------------- *)
+
+(* A one-page machine: vpn 0 -> frame 1 holds [code] at address 0, vpn 1
+   -> frame 2 is the stack; everything else is unmapped. [regs] set the
+   registers before the first instruction. With [block], the machine's
+   environment carries a block cache. *)
+let exit_fixture ?(block = false) ~code regs =
+  let phys = Hw.Phys.create ~frames:8 () in
+  let cost = Hw.Cost.create () in
+  let mmu = Hw.Mmu.create ~itlb_capacity:8 ~dtlb_capacity:8 ~phys ~cost () in
+  Hw.Phys.blit_from_string phys ~frame:1 ~off:0 code;
+  Hw.Mmu.reload_cr3 mmu (fun vpn ->
+      if vpn > 1 then Hw.Mmu.no_pte
+      else
+        Hw.Mmu.pack_pte
+          { Hw.Mmu.frame = vpn + 1; present = true; writable = true; user = true; nx = false });
+  let env = Hw.Mmu.env mmu in
+  if block then env.cache <- Some (Hw.Bbcache.create ~phys ());
+  let r = Hw.Cpu.create_regs () in
+  Hw.Cpu.set r Isa.Reg.ESP 8000;
+  List.iter (fun (reg, v) -> Hw.Cpu.set r reg v) regs;
+  (mmu, env, r)
+
+let asm insns = (Isa.Asm.assemble ~origin:0 (List.map (fun i -> Isa.Asm.I i) insns)).code
+
+(* One case per exit class: the program at address 0, registers, the
+   expected code. *)
+let exit_cases =
+  Isa.Insn.
+    [
+      ("retire", asm [ Mov_ri (EAX, 5) ], [], Hw.Cpu.No_trap);
+      ("syscall", asm [ Int 0x80 ], [ (Isa.Reg.EAX, 4) ], Hw.Cpu.Syscall);
+      ("page fault", asm [ Store (EBX, 0, EAX) ], [ (Isa.Reg.EBX, 0x5004) ], Hw.Cpu.Page_fault);
+      ("#UD", "\xFF\x90", [], Hw.Cpu.Invalid_opcode);
+      ("#GP", asm [ Hlt ], [], Hw.Cpu.General_protection);
+    ]
+
+let observe mmu (r : Hw.Cpu.regs) (x : Hw.Cpu.exit) =
+  let f = Hw.Mmu.pending_fault mmu in
+  let tlb t =
+    let s = Hw.Tlb.stats t in
+    (s.hits, s.misses)
+  in
+  ( { x with gp_reason = x.gp_reason },
+    (if x.code = Hw.Cpu.Page_fault then Some (f.addr, f.access, f.kind) else None),
+    (r.eip, Array.to_list r.gpr),
+    ((Hw.Mmu.cost mmu).cycles, tlb (Hw.Mmu.itlb mmu), tlb (Hw.Mmu.dtlb mmu)) )
+
+(* For every exit class, with the trap flag clear and set, [Cpu.step] and
+   a one-instruction [run_block] leave identical exit registers, pending
+   fault, registers, cycles and TLB statistics. *)
+let test_step_equals_one_block () =
+  List.iter
+    (fun (name, code, regs, want) ->
+      List.iter
+        (fun tf ->
+          let what = Fmt.str "%s%s" name (if tf then " (tf)" else "") in
+          let mmu, _, r = exit_fixture ~code regs in
+          r.tf <- tf;
+          let stepped = observe mmu r (Hw.Cpu.step mmu r) in
+          let mmu, env, r = exit_fixture ~block:true ~code regs in
+          r.tf <- tf;
+          let x = Hw.Cpu.run_block env mmu r ~max_insns:1 ~tick_limit:max_int in
+          Alcotest.(check string)
+            (what ^ ": code") (Hw.Cpu.exit_code_name want) (Hw.Cpu.exit_code_name x.code);
+          Alcotest.(check int) (what ^ ": one attempt") 1 x.attempts;
+          Alcotest.(check bool) (what ^ ": same exit state") true (stepped = observe mmu r x))
+        [ false; true ])
+    exit_cases
+
+(* The #DB bit follows the trap flag on an instruction that retired or
+   made a syscall, and never on one that faulted; a trap-flag run_block
+   stops after one instruction whatever its budget. *)
+let test_debug_bit () =
+  List.iter
+    (fun (name, code, regs, want) ->
+      let mmu, env, r = exit_fixture ~block:true ~code regs in
+      r.tf <- true;
+      let x = Hw.Cpu.run_block env mmu r ~max_insns:50 ~tick_limit:max_int in
+      Alcotest.(check int) (name ^ ": stops after one") 1 x.attempts;
+      Alcotest.(check bool)
+        (name ^ ": debug bit")
+        (want = Hw.Cpu.No_trap || want = Hw.Cpu.Syscall)
+        x.debug)
+    exit_cases
+
+(* The steady state of block dispatch: a loop of loads, stores, a call and
+   a return on warm TLBs and a warm cache crosses no trap and allocates
+   exactly nothing. *)
+let test_run_block_allocation_free () =
+  let code =
+    let open Isa.Asm in
+    (Isa.Asm.assemble ~origin:0
+       [
+         L "top";
+         I (Add_ri (EAX, 1));
+         I (Store (ESP, -8, EAX));
+         I (Load (EBX, ESP, -8));
+         I (Call (Lbl "fn"));
+         I (Jmp (Lbl "top"));
+         L "fn";
+         I (Add (ECX, EBX));
+         I Ret;
+       ])
+      .code
+  in
+  let mmu, env, r = exit_fixture ~block:true ~code [] in
+  let run () = Hw.Cpu.run_block env mmu r ~max_insns:10_000 ~tick_limit:max_int in
+  let x = run () in
+  Alcotest.(check string) "warm-up ran trap-free" "no_trap" (Hw.Cpu.exit_code_name x.code);
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let noise = words ignore in
+  let w = words (fun () -> ignore (run () : Hw.Cpu.exit)) in
+  Alcotest.(check int) "all 10000 retired" 10_000 x.retired;
+  Alcotest.(check (float 0.)) "minor words of a warm run_block" noise w
 
 (* --- Self-modifying code: generation-based invalidation -------------------- *)
 
@@ -248,7 +375,7 @@ let test_note_hits_parity () =
       Hw.Tlb.insert b (entry v))
     [ 1; 2; 3; 4 ];
   for _ = 1 to 5 do
-    ignore (Hw.Tlb.find a 2 : Hw.Tlb.entry)
+    ignore (Hw.Tlb.probe a 2 : int)
   done;
   Hw.Tlb.note_hits b 2 5;
   let sa = Hw.Tlb.stats a and sb = Hw.Tlb.stats b in
@@ -301,6 +428,11 @@ let suite =
     Alcotest.test_case "matrix identical on/off" `Slow test_matrix_on_off;
     Alcotest.test_case "inject seed-7 campaign identical on/off" `Slow test_inject_on_off;
     Alcotest.test_case "page-straddling insn: negative-block fallback" `Quick test_page_straddle;
+    Alcotest.test_case "step equals a one-instruction block per exit class" `Quick
+      test_step_equals_one_block;
+    Alcotest.test_case "debug bit on retire and syscall, not on faults" `Quick test_debug_bit;
+    Alcotest.test_case "warm trap-free run_block allocates nothing" `Quick
+      test_run_block_allocation_free;
     Alcotest.test_case "self-modifying store invalidates" `Quick test_smc_invalidation;
     Alcotest.test_case "note_hits equals repeated finds" `Quick test_note_hits_parity;
     Alcotest.test_case "snapshot restore drops the cache" `Quick test_restore_drops_cache;

@@ -27,7 +27,8 @@ let test_smc_penalty_through_mmu () =
   let table = Hashtbl.create 4 in
   Hashtbl.replace table 0
     { Hw.Mmu.frame = 1; present = true; writable = true; user = true; nx = false };
-  Hw.Mmu.reload_cr3 mmu (Hashtbl.find_opt table);
+  Hw.Mmu.reload_cr3 mmu (fun vpn ->
+      match Hashtbl.find_opt table vpn with Some p -> Hw.Mmu.pack_pte p | None -> Hw.Mmu.no_pte);
   (* execute-side access caches the line *)
   ignore (Hw.Mmu.fetch8 mmu ~from_user:true 0x100);
   let before = cost.cycles in

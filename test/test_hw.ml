@@ -199,7 +199,8 @@ let test_tlb_invalidate_flush () =
   Alcotest.(check int) "flush count" 1 (Hw.Tlb.stats tlb).flushes
 
 (* The hit paths allocate nothing: MMU translation hits (fetch and read,
-   both policies), LRU bulk hit accounting, and a flush. *)
+   both policies), a miss's walk and fill, LRU bulk hit accounting, and a
+   flush. *)
 let minor_words_of f =
   let before = Gc.minor_words () in
   f ();
@@ -216,7 +217,7 @@ let test_hit_paths_allocation_free () =
       let phys = Hw.Phys.create ~frames:8 () in
       let mmu = Hw.Mmu.create ~tlb_policy:policy ~phys ~cost:(Hw.Cost.create ()) () in
       let pte = { Hw.Mmu.frame = 3; present = true; writable = true; user = true; nx = false } in
-      Hw.Mmu.reload_cr3 mmu (fun _ -> Some pte);
+      Hw.Mmu.reload_cr3 mmu (fun _ -> Hw.Mmu.pack_pte pte);
       let name = Hw.Tlb.policy_name policy in
       List.iter
         (fun access ->
@@ -227,6 +228,12 @@ let test_hit_paths_allocation_free () =
               done))
         [ Hw.Mmu.Fetch; Hw.Mmu.Read ];
       let itlb = Hw.Mmu.itlb mmu in
+      (* a miss walks the pagetable (an int-returning walker) and fills *)
+      check_free (name ^ " walk and fill") (fun () ->
+          for i = 1 to 10_000 do
+            Hw.Tlb.invalidate itlb 5;
+            ignore (Hw.Mmu.translate_result mmu ~from_user:true Hw.Mmu.Fetch (0x5000 + i land 0xFFF))
+          done);
       check_free (name ^ " note_hits") (fun () ->
           for _ = 1 to 10_000 do
             Hw.Tlb.note_hits itlb 5 3
@@ -236,7 +243,8 @@ let test_hit_paths_allocation_free () =
 
 (* --- MMU ----------------------------------------------------------------- *)
 
-let simple_walk table vpn = Hashtbl.find_opt table vpn
+let simple_walk table vpn =
+  match Hashtbl.find_opt table vpn with Some p -> Hw.Mmu.pack_pte p | None -> Hw.Mmu.no_pte
 
 let test_mmu_translate_and_cache () =
   let _, mmu = make_mmu () in
@@ -291,7 +299,7 @@ let test_tlb_desync () =
   Hw.Phys.blit_from_string phys ~frame:code_frame ~off:0 "CODE";
   Hw.Phys.blit_from_string phys ~frame:data_frame ~off:0 "DATA";
   let pte = ref { Hw.Mmu.frame = code_frame; present = true; writable = true; user = false; nx = false } in
-  let table vpn = if vpn = 9 then Some !pte else None in
+  let table vpn = if vpn = 9 then Hw.Mmu.pack_pte !pte else Hw.Mmu.no_pte in
   Hw.Mmu.reload_cr3 mmu table;
   let addr = 9 * 4096 in
   (* kernel: point at the code copy, unrestrict, let a fetch fill the ITLB,
@@ -334,9 +342,10 @@ let cpu_fixture program =
 
 let step_n mmu regs n =
   for _ = 1 to n do
-    match (Hw.Cpu.step mmu regs).outcome with
-    | Ok _ -> ()
-    | Error f -> Alcotest.failf "unexpected fault: %a" Hw.Cpu.pp_fault f
+    let x = Hw.Cpu.step mmu regs in
+    match x.code with
+    | Hw.Cpu.No_trap | Hw.Cpu.Syscall -> ()
+    | _ -> Alcotest.failf "unexpected fault: %a" (Hw.Cpu.pp_exit mmu) x
   done
 
 let test_cpu_arith_flags () =
@@ -391,9 +400,9 @@ let test_cpu_fault_restart () =
   Hw.Cpu.set regs Isa.Reg.EBX 4096;
   step_n mmu regs 1;
   let eip_before = regs.eip in
-  (match (Hw.Cpu.step mmu regs).outcome with
-  | Error (Hw.Cpu.Page (f : Hw.Mmu.fault)) ->
-    Alcotest.(check int) "fault addr" 4096 f.addr;
+  (match (Hw.Cpu.step mmu regs).code with
+  | Hw.Cpu.Page_fault ->
+    Alcotest.(check int) "fault addr" 4096 (Hw.Mmu.pending_fault mmu).addr;
     Alcotest.(check int) "eip unchanged" eip_before regs.eip
   | _ -> Alcotest.fail "expected page fault");
   Hashtbl.replace table 1 { Hw.Mmu.frame = 2; present = true; writable = true; user = true; nx = false };
@@ -404,17 +413,17 @@ let test_cpu_debug_trap () =
   let open Isa.Asm in
   let mmu, regs = cpu_fixture [ I Nop; I Nop ] in
   regs.tf <- true;
-  let s = Hw.Cpu.step mmu regs in
-  Alcotest.(check bool) "trap after retire" true s.debug_trap;
+  let x = Hw.Cpu.step mmu regs in
+  Alcotest.(check bool) "trap after retire" true x.debug;
   regs.tf <- false;
-  let s = Hw.Cpu.step mmu regs in
-  Alcotest.(check bool) "no trap" false s.debug_trap
+  let x = Hw.Cpu.step mmu regs in
+  Alcotest.(check bool) "no trap" false x.debug
 
 let test_cpu_hlt_faults () =
   let open Isa.Asm in
   let mmu, regs = cpu_fixture [ I Hlt ] in
-  match (Hw.Cpu.step mmu regs).outcome with
-  | Error (Hw.Cpu.General_protection _) -> ()
+  match (Hw.Cpu.step mmu regs).code with
+  | Hw.Cpu.General_protection -> ()
   | _ -> Alcotest.fail "hlt in user mode must #GP"
 
 let suite =

@@ -37,15 +37,14 @@ let test_map_walk_unmap () =
   (* vpns spanning two directory entries *)
   Pt.map pt ~vpn:7 ~frame:42 ~writable:true ~user:true ();
   Pt.map pt ~vpn:(1024 + 7) ~frame:43 ~writable:false ~user:true ~nx:true ();
-  (match Pt.walk pt 7 with
-  | Some { Hw.Mmu.frame = 42; writable = true; user = true; nx = false; _ } -> ()
-  | _ -> Alcotest.fail "walk vpn 7");
-  (match Pt.walk pt (1024 + 7) with
-  | Some { Hw.Mmu.frame = 43; writable = false; nx = true; _ } -> ()
-  | _ -> Alcotest.fail "walk vpn 1031");
-  Alcotest.(check bool) "unmapped absent" true (Pt.walk pt 8 = None);
+  let hw frame ~writable ~nx =
+    Hw.Mmu.pack_pte { Hw.Mmu.frame; present = true; writable; user = true; nx }
+  in
+  Alcotest.(check int) "walk vpn 7" (hw 42 ~writable:true ~nx:false) (Pt.walk pt 7);
+  Alcotest.(check int) "walk vpn 1031" (hw 43 ~writable:false ~nx:true) (Pt.walk pt (1024 + 7));
+  Alcotest.(check int) "unmapped absent" Hw.Mmu.no_pte (Pt.walk pt 8);
   Pt.unmap pt 7;
-  Alcotest.(check bool) "unmap works" true (Pt.walk pt 7 = None)
+  Alcotest.(check int) "unmap works" Hw.Mmu.no_pte (Pt.walk pt 7)
 
 let test_split_pair_adjacency () =
   let mem, alloc, _ = fixture () in

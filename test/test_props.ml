@@ -289,7 +289,7 @@ let prop_tlb_matches_queue_model =
               gone = Option.to_list (Queue_tlb.insert model (entry v f))
             | D_lookup v -> Hw.Tlb.lookup tlb v = Queue_tlb.find model v
             | D_find v ->
-              (match Hw.Tlb.find tlb v with e when e == Hw.Tlb.absent -> None | e -> Some e)
+              (match Hw.Tlb.probe tlb v with -1 -> None | p -> Some (Hw.Tlb.unpack v p))
               = Queue_tlb.find model v
             | D_note_hits (v, n) ->
               Hw.Tlb.note_hits tlb v n;

@@ -27,24 +27,35 @@ let scenario name =
 let test_codec_roundtrip () =
   let module W = Snap.Codec.W in
   let module R = Snap.Codec.R in
-  let b = W.create () in
-  W.raw b "HDR";
-  List.iter (W.int b) [ 0; 1; -1; 42; -123456789; max_int / 2; -(max_int / 2) ];
-  W.str b "hello\000world";
-  W.str b "";
-  W.bool b true;
-  W.bool b false;
-  W.opt W.int b None;
-  W.opt W.int b (Some (-7));
-  W.list W.str b [ "a"; "bb"; "" ];
-  W.int_array b [| 3; -4; 5 |];
-  let r = R.of_string (W.contents b) in
+  let write b =
+    W.raw b "HDR";
+    List.iter (W.int b) [ 0; 1; -1; 42; -123456789; max_int / 2; -(max_int / 2) ];
+    W.str b "hello\000world";
+    W.str b "";
+    W.str_sub b "xxpagexx" ~pos:2 ~len:4;
+    W.bool b true;
+    W.bool b false;
+    W.opt W.int b None;
+    W.opt W.int b (Some (-7));
+    W.list W.str b [ "a"; "bb"; "" ];
+    W.int_array b [| 3; -4; 5 |]
+  in
+  let sizing = W.sizer () in
+  write sizing;
+  (* a small start size makes the buffer grow on the way *)
+  let b = W.create ~size:4 () in
+  write b;
+  let bytes = W.contents b in
+  Alcotest.(check int) "sizer counts what the writer writes" (String.length bytes) (W.length sizing);
+  let r = R.of_string bytes in
   R.expect r "HDR";
   List.iter
     (fun v -> Alcotest.(check int) "int" v (R.int r))
     [ 0; 1; -1; 42; -123456789; max_int / 2; -(max_int / 2) ];
   Alcotest.(check string) "str" "hello\000world" (R.str r);
   Alcotest.(check string) "empty str" "" (R.str r);
+  (let s, pos, len = R.view r in
+   Alcotest.(check string) "view" "page" (String.sub s pos len));
   Alcotest.(check bool) "true" true (R.bool r);
   Alcotest.(check bool) "false" false (R.bool r);
   Alcotest.(check (option int)) "none" None (R.opt R.int r);
@@ -345,6 +356,102 @@ let test_bad_trace_ring () =
       ("position = ring size", ring p.trace size);
       ("negative position", ring p.trace (-1));
     ]
+
+(* Frame numbers in the PTEs and the TLBs index physical memory on the
+   restored machine. One out of range used to decode, restore, and kill
+   the run later with a stray [Invalid_argument] from [Phys]; the decoder
+   must reject it. Each case re-encodes one entry of a live machine with
+   the frame replaced. *)
+let test_pte_frames_rejected () =
+  let module W = Snap.Codec.W in
+  let os = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:1500 os);
+  let snap = Snap.Snapshot.checkpoint os in
+  let good = Snap.Snapshot.encode snap in
+  let n = Snap.Snapshot.frame_count snap in
+  (* a PTE is written as vpn, kind byte, frame, six flags, split option *)
+  let pte_tail ?frame ?code ?data (pte : Kernel.Pte.t) =
+    encoded (fun b ->
+        W.int b (Option.value frame ~default:pte.frame);
+        List.iter (W.bool b)
+          [ pte.present; pte.writable; pte.user; pte.nx; pte.cow; pte.orig_writable ];
+        W.opt
+          (fun b (s : Kernel.Pte.split) ->
+            W.int b (Option.value code ~default:s.code_frame);
+            W.int b (Option.value data ~default:s.data_frame);
+            W.bool b s.locked_to_data)
+          b pte.split)
+  in
+  let pte_offset (pte : Kernel.Pte.t) =
+    let vpn = encoded (fun b -> W.int b pte.vpn) and tail = pte_tail pte in
+    let at off sub =
+      off + String.length sub <= String.length good
+      && String.sub good off (String.length sub) = sub
+    in
+    match List.filter (fun off -> at (off + 9) tail) (occurrences good vpn) with
+    | [ off ] -> off + 9
+    | offs -> Alcotest.failf "PTE vpn 0x%x found %d times" pte.vpn (List.length offs)
+  in
+  let ptes =
+    List.concat_map
+      (fun (p : Kernel.Proc.t) -> Hashtbl.fold (fun _ pte acc -> pte :: acc) p.aspace.ptes [])
+      (Kernel.Os.procs os)
+  in
+  (* stand-alone split memory splits every page *)
+  let split = List.find (fun (pte : Kernel.Pte.t) -> pte.split <> None) ptes in
+  let with_pte pte repl =
+    let off = pte_offset pte in
+    splice good ~off ~len:(String.length (pte_tail pte)) repl
+  in
+  let entry = List.hd (Hw.Tlb.entries (Hw.Mmu.itlb (Kernel.Os.mmu os))) in
+  let tlb_entry frame =
+    encoded (fun b ->
+        W.int b entry.vpn;
+        W.int b frame;
+        W.bool b entry.user;
+        W.bool b entry.writable;
+        W.bool b entry.nx)
+  in
+  let tlb_off =
+    match occurrences good (tlb_entry entry.frame) with
+    | off :: _ -> off
+    | [] -> Alcotest.fail "ITLB entry not found in the blob"
+  in
+  List.iter
+    (fun (what, blob) -> corrupt_or_fail what (fun () -> Snap.Snapshot.decode blob))
+    [
+      ("PTE frame = frame count", with_pte split (pte_tail ~frame:n split));
+      ("negative PTE frame", with_pte split (pte_tail ~frame:(-1) split));
+      ("split code frame = frame count", with_pte split (pte_tail ~code:n split));
+      ("split data frame = frame count", with_pte split (pte_tail ~data:n split));
+      ( "TLB entry frame = frame count",
+        splice good ~off:tlb_off ~len:(String.length (tlb_entry 0)) (tlb_entry n) );
+    ];
+  (* the last in-range frame still decodes *)
+  ignore (Snap.Snapshot.decode (with_pte split (pte_tail ~frame:(n - 1) split)))
+
+(* The PRNG blob is unmarshalled by [restore], the one section [decode]
+   cannot check. A truncated blob must be [Corrupt] before the target is
+   touched: its own checkpoint reads the same afterwards. *)
+let test_bad_rng_leaves_target () =
+  let module W = Snap.Codec.W in
+  let os = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:300 os);
+  let good = Snap.Snapshot.encode (Snap.Snapshot.checkpoint os) in
+  let rng = Marshal.to_string (Kernel.Os.machine os).rng [] in
+  let field = encoded (fun b -> W.str b rng) in
+  let off = only_occurrence "PRNG blob" good field in
+  let bad =
+    splice good ~off ~len:(String.length field)
+      (encoded (fun b -> W.str b (String.sub rng 0 (String.length rng / 2))))
+  in
+  let snap = Snap.Snapshot.decode bad in
+  let target = (scenario "benign").start () in
+  ignore (Kernel.Os.run ~fuel:700 target);
+  let export () = Snap.Snapshot.encode (Snap.Snapshot.checkpoint target) in
+  let before = export () in
+  corrupt_or_fail "truncated PRNG blob" (fun () -> Snap.Snapshot.restore target snap);
+  Alcotest.(check bool) "target unchanged" true (String.equal before (export ()))
 
 (* Random allocator histories survive export -> encode -> decode ->
    import: the restored allocator agrees on every refcount and counter and
@@ -762,6 +869,10 @@ let suite =
     Alcotest.test_case "out-of-range segment index rejected" `Quick
       test_segment_index_rejected;
     Alcotest.test_case "bad trace ring rejected" `Quick test_bad_trace_ring;
+    Alcotest.test_case "out-of-range PTE and TLB frames rejected" `Quick
+      test_pte_frames_rejected;
+    Alcotest.test_case "bad PRNG blob leaves the target untouched" `Quick
+      test_bad_rng_leaves_target;
     QCheck_alcotest.to_alcotest prop_alloc_roundtrip;
     Alcotest.test_case "round trip: benign" `Quick (test_roundtrip "benign");
     Alcotest.test_case "round trip: attack-break" `Quick (test_roundtrip "attack-break");

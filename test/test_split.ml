@@ -118,7 +118,7 @@ let test_algorithm1_code_branch_single_steps () =
   | Kernel.Protection.Handled -> ()
   | Kernel.Protection.Not_ours -> Alcotest.fail "split fetch fault not handled");
   Alcotest.(check bool) "trap flag set" true p.regs.tf;
-  Alcotest.(check bool) "pending addr recorded" true (p.pending_fault_addr = Some addr);
+  Alcotest.(check bool) "pending addr recorded" true (p.pending_fault_addr = addr);
   Alcotest.(check bool) "pte unrestricted for the restart" true pte.Kernel.Pte.user;
   Alcotest.(check int) "pte points at code copy" s.code_frame pte.Kernel.Pte.frame;
   (* the debug interrupt (Algorithm 2) re-restricts *)
@@ -126,7 +126,7 @@ let test_algorithm1_code_branch_single_steps () =
     ((Kernel.Os.protection k).on_debug_trap (Kernel.Os.ctx k) p);
   Alcotest.(check bool) "tf cleared" false p.regs.tf;
   Alcotest.(check bool) "pte restricted again" false pte.Kernel.Pte.user;
-  Alcotest.(check bool) "pending cleared" true (p.pending_fault_addr = None)
+  Alcotest.(check bool) "pending cleared" true (p.pending_fault_addr = Kernel.Proc.no_fault_addr)
 
 let test_stray_debug_trap_not_consumed () =
   let k, p = spawn_under Split_memory.Response.Break in

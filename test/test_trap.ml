@@ -199,18 +199,33 @@ let test_table_tracer () =
 let some_fault : Hw.Mmu.fault =
   { addr = 0x08048123; access = Hw.Mmu.Write; kind = Hw.Mmu.Protection; from_user = true }
 
+(* Exit registers of a fresh machine, set to one exit class. *)
+let exit_of (m : Kernel.Machine.t) code =
+  let x = m.env.Hw.Exec_env.exit in
+  x.code <- code;
+  x.debug <- false;
+  x
+
+(* [deliver] serves each exit code as its own class and counts it under
+   that label in [traps.by_class]; [No_trap] delivers nothing. *)
 let test_classify () =
-  let check_class outcome want =
-    let got = Option.map Kernel.Trap.class_name (Kernel.Trap.of_outcome outcome) in
-    Alcotest.(check (option string)) "class" want got
+  let labels code =
+    let obs = Obs.create () in
+    let m = Kernel.Machine.create ~obs ~protection:Kernel.Protection.none () in
+    let p = mk_proc m in
+    Kernel.Trap.deliver m p (exit_of m code);
+    Obs.Metrics.label_cells (Obs.labeled obs "traps.by_class")
   in
-  check_class (Ok Hw.Cpu.Retired) None;
-  check_class (Ok (Hw.Cpu.Syscall 4)) (Some "syscall");
-  check_class (Error (Hw.Cpu.Page some_fault)) (Some "page_fault");
-  check_class
-    (Error (Hw.Cpu.Invalid_opcode { eip = 0; opcode = 0xCD }))
-    (Some "invalid_opcode");
-  check_class (Error (Hw.Cpu.General_protection "hlt")) (Some "general_protection")
+  List.iter
+    (fun (code, want) ->
+      Alcotest.(check (list (pair string int))) (Hw.Cpu.exit_code_name code) want (labels code))
+    [
+      (Hw.Cpu.No_trap, []);
+      (Hw.Cpu.Syscall, [ ("syscall", 1) ]);
+      (Hw.Cpu.Page_fault, [ ("page_fault", 1) ]);
+      (Hw.Cpu.Invalid_opcode, [ ("invalid_opcode", 1) ]);
+      (Hw.Cpu.General_protection, [ ("general_protection", 1) ]);
+    ]
 
 (* The #DB must be delivered after the primary trap of the same step, and
    only if that trap left the process runnable. *)
@@ -231,11 +246,11 @@ let test_debug_trap_ordering () =
   in
   let m = Kernel.Machine.create ~protection () in
   let p = mk_proc m in
-  let step : Hw.Cpu.step =
-    { outcome = Error (Hw.Cpu.Invalid_opcode { eip = 0x1000; opcode = 0x0F });
-      debug_trap = true }
-  in
-  Kernel.Trap.deliver m p step;
+  let x = exit_of m Hw.Cpu.Invalid_opcode in
+  x.ud_eip <- 0x1000;
+  x.ud_opcode <- 0x0F;
+  x.debug <- true;
+  Kernel.Trap.deliver m p x;
   Alcotest.(check (list string)) "primary trap before #DB" [ "ud"; "db" ] (List.rev !calls)
 
 let test_debug_trap_skipped_when_killed () =
@@ -252,10 +267,10 @@ let test_debug_trap_skipped_when_killed () =
   let m = Kernel.Machine.create ~protection () in
   let p = mk_proc m in
   (* a #GP kills the process; the piggybacked #DB must then be dropped *)
-  let step : Hw.Cpu.step =
-    { outcome = Error (Hw.Cpu.General_protection "hlt in user mode"); debug_trap = true }
-  in
-  Kernel.Trap.deliver m p step;
+  let x = exit_of m Hw.Cpu.General_protection in
+  x.gp_reason <- "hlt in user mode";
+  x.debug <- true;
+  Kernel.Trap.deliver m p x;
   Alcotest.(check bool) "killed" false (Kernel.Proc.is_runnable p);
   Alcotest.(check int) "#DB dropped" 0 !db_calls
 
@@ -266,7 +281,10 @@ let test_invalid_opcode_verdicts () =
     in
     let m = Kernel.Machine.create ~protection () in
     let p = mk_proc m in
-    Kernel.Trap.serve m p (Kernel.Trap.Invalid_opcode { eip = 0x1000; opcode = 0xFF });
+    let x = exit_of m Hw.Cpu.Invalid_opcode in
+    x.ud_eip <- 0x1000;
+    x.ud_opcode <- 0xFF;
+    Kernel.Trap.deliver m p x;
     Kernel.Proc.is_runnable p
   in
   Alcotest.(check bool) "Resume keeps running" true (run Kernel.Protection.Resume);
@@ -278,12 +296,20 @@ let test_unified_fault_format () =
   let mmu_s = Fmt.str "%a" Hw.Mmu.pp_fault some_fault in
   Alcotest.(check string) "canonical shape"
     "#PF addr=0x08048123 access=write kind=protection mode=user" mmu_s;
-  Alcotest.(check string) "Cpu.pp_fault delegates" mmu_s
-    (Fmt.str "%a" Hw.Cpu.pp_fault (Hw.Cpu.Page some_fault));
-  Alcotest.(check string) "Trap.pp delegates" mmu_s
-    (Fmt.str "%a" Kernel.Trap.pp (Kernel.Trap.Page_fault some_fault));
+  (* the CPU's exit printer reads the MMU's pending-fault registers *)
+  let mmu = Hw.Mmu.create ~phys:(Hw.Phys.create ~frames:4 ()) ~cost:(Hw.Cost.create ()) () in
+  Hw.Mmu.reload_cr3 mmu (fun _ ->
+      Hw.Mmu.pack_pte { frame = 1; present = true; writable = false; user = true; nx = false });
+  Alcotest.(check bool) "write faults" true
+    (Hw.Mmu.translate_result mmu ~from_user:true Hw.Mmu.Write some_fault.addr < 0);
+  let x = (Hw.Mmu.env mmu).exit in
+  x.code <- Hw.Cpu.Page_fault;
+  Alcotest.(check string) "Cpu.pp_exit delegates" mmu_s (Fmt.str "%a" (Hw.Cpu.pp_exit mmu) x);
+  x.code <- Hw.Cpu.Invalid_opcode;
+  x.ud_eip <- 0x1000;
+  x.ud_opcode <- 0xCD;
   Alcotest.(check string) "#UD shape" "#UD eip=0x00001000 opcode=0xcd"
-    (Fmt.str "%a" Kernel.Trap.pp (Kernel.Trap.Invalid_opcode { eip = 0x1000; opcode = 0xCD }))
+    (Fmt.str "%a" (Hw.Cpu.pp_exit mmu) x)
 
 let unit_tests =
   [
